@@ -65,13 +65,14 @@ constexpr int kSetupRepeats = 5;
 constexpr std::size_t kWarmupUpdates = 64;
 /// Share of --seconds spent in the fixed-rate segment; the rest is the
 /// saturation segment.
-constexpr double kFixedShare = 0.5;
-/// The saturation segment keeps this many queue batches outstanding, so
-/// the writer always finds a full batch waiting behind the one it applies.
-constexpr std::size_t kWindowBatches = 2;
-/// Period of the observer/reader thread's snapshot poll (also the
-/// generator's wait while the saturation window is full).
+constexpr double kFixedShare = 0.3;
+/// Period of the observer/reader thread's snapshot poll while it stamps
+/// fixed-rate latencies; it bounds their resolution.
 constexpr auto kPollPeriod = std::chrono::microseconds(250);
+/// Period of the reader's poll once every watched position is stamped: the
+/// saturation segment needs no latency stamps, and a slow poll keeps the
+/// reader from preempting the apply threads thousands of times a second.
+constexpr auto kReaderPoll = std::chrono::milliseconds(5);
 /// The traced run's serial decomposition replays the last batches of the
 /// run that cover at least this many stream updates, starting from Step 1
 /// on the graph at that batch boundary (the state exact maintenance holds
@@ -80,6 +81,14 @@ constexpr std::size_t kDecomposedUpdates = 768;
 /// The traced run's saturation segment ends at the untraced run's stream
 /// position, not at a deadline.
 constexpr double kNoDeadline = std::numeric_limits<double>::infinity();
+/// Every deployment's queue waits this long after a batch's first update
+/// for the batch to fill. A saturation round is submitted well within it,
+/// so each round splits into the same full batches on every run, and
+/// coalescing, WAL syncs and checkpoint triggers fall on the same stream
+/// positions. In the fixed-rate segment it adds at most this much latency.
+constexpr double kBatchBudgetSeconds = 0.002;
+/// Seed of every workload's graph (see MakeSchedule).
+constexpr std::uint64_t kGraphSeed = 1;
 /// Sources the serial out-of-core drain hints ahead (DynamicBc's slab).
 constexpr std::size_t kSerialPrefetchSlab = 128;
 
@@ -103,15 +112,21 @@ struct Workload {
   /// of capacity for mixed-mo and cluster-4, and about half of the
   /// saturated, coalescing capacity for churn-do-durable (README.md).
   double rate;
+  /// Updates per closed-loop round of the saturation segment. A round
+  /// takes 0.5 to 3 seconds at the calibration host's capacity, so a run
+  /// holds several rounds for the median. A round of up to 256 updates is
+  /// one queue batch; churn-do-durable's 2048 are eight full batches and
+  /// one checkpoint interval, so every round does the same I/O.
+  std::size_t round;
 };
 
 constexpr Workload kWorkloads[] = {
     {"mixed-mo", 2000, BcVariant::kMemory, RecordCodecId::kRaw, 0, 0, false,
-     0, false, 0, 0, Arrivals::kPoisson, 40.0},
+     0, false, 0, 0, Arrivals::kPoisson, 40.0, 64},
     {"churn-do-durable", 1000, BcVariant::kOutOfCore, RecordCodecId::kDelta,
-     1, 1, true, 500, true, 48, 0, Arrivals::kLogNormal, 300.0},
+     1, 1, true, 2000, true, 48, 0, Arrivals::kLogNormal, 300.0, 2048},
     {"cluster-4", 2000, BcVariant::kMemory, RecordCodecId::kRaw, 0, 1, false,
-     0, false, 0, 4, Arrivals::kPoisson, 60.0},
+     0, false, 0, 4, Arrivals::kPoisson, 60.0, 128},
 };
 
 struct Args {
@@ -202,9 +217,14 @@ struct Schedule {
 };
 
 Schedule MakeSchedule(const Workload& w, std::uint64_t seed, double seconds) {
-  Rng rng(seed);
+  // The graph is the workload's fixed dataset; the seed draws the stream
+  // and its arrival times. A graph drawn per seed would move capacity by
+  // its own shape, which no change to the program explains.
+  Rng graph_rng(kGraphSeed);
   Schedule s;
-  s.graph = GenerateSocialGraph(w.n, SocialGraphParams::PaperDefaults(), &rng);
+  s.graph = GenerateSocialGraph(w.n, SocialGraphParams::PaperDefaults(),
+                                &graph_rng);
+  Rng rng(seed);
   s.fixed = static_cast<std::size_t>(
       std::llround(w.rate * kFixedShare * seconds));
   // Generous bound on what the saturation segment can consume; a run that
@@ -340,8 +360,15 @@ DynamicBcOptions FrameworkOptions(const Workload& w, const std::string& dir) {
   return bc;
 }
 
+UpdateQueueOptions QueueOptions() {
+  UpdateQueueOptions queue;
+  queue.batch_latency_budget_seconds = kBatchBudgetSeconds;
+  return queue;
+}
+
 BcServiceOptions ServiceOptions(const Workload& w, const std::string& dir) {
   BcServiceOptions options;
+  options.queue = QueueOptions();
   options.bc = FrameworkOptions(w, dir);
   if (w.durable) {
     options.durability.wal_dir = dir + "/wal";
@@ -383,10 +410,11 @@ std::unique_ptr<Cluster> StartCluster(const Workload& w, const Graph& graph) {
         "shard start"));
     addresses.push_back(cluster->workers.back()->address());
   }
+  ClusterCoordinatorOptions coordinator;
+  coordinator.queue = QueueOptions();
   cluster->coordinator =
       Take(ClusterCoordinator::Connect(Graph(graph), addresses,
-                                       &cluster->transport,
-                                       ClusterCoordinatorOptions{}),
+                                       &cluster->transport, coordinator),
            "coordinator connect");
   return cluster;
 }
@@ -421,6 +449,7 @@ struct LoadResult {
   std::size_t backlog_max = 0;   // max outstanding in the fixed segment
   std::size_t consumed = 0;      // stream position reached at the end
   double saturation_seconds = 0.0;
+  std::vector<double> round_rates;  // updates/s of each saturation round
   Status drain_status;
 };
 
@@ -428,14 +457,15 @@ struct LoadResult {
 /// `published()` reads the stream position covered by the newest
 /// publication, `drain()` blocks until everything offered is published.
 /// The fixed-rate segment submits each update at its due time whatever the
-/// system's state (open loop); the saturation segment keeps
-/// kWindowBatches * max_batch updates outstanding until `deadline_seconds`
-/// passed or the stream position reached `limit`, then drains.
+/// system's state (open loop). The saturation segment runs closed-loop
+/// rounds: submit `round` updates at once, drain, repeat, until
+/// `deadline_seconds` passed or the stream position reached `limit`. Each
+/// round's rate is kept, so capacity can be their median: a host stall or a
+/// rare costly update then moves one round, not the run's figure.
 template <class Submit, class Published, class DrainFn>
-LoadResult GenerateLoad(const Schedule& s, Submit submit, Published published,
-                        DrainFn drain, double deadline_seconds,
-                        std::size_t limit) {
-  const std::size_t window = kWindowBatches * UpdateQueueOptions{}.max_batch;
+LoadResult GenerateLoad(const Schedule& s, std::size_t round, Submit submit,
+                        Published published, DrainFn drain,
+                        double deadline_seconds, std::size_t limit) {
   LoadResult r;
   for (std::size_t i = 0; i < kWarmupUpdates; ++i) {
     if (!submit(s.stream[i])) ++r.refused;
@@ -454,17 +484,20 @@ LoadResult GenerateLoad(const Schedule& s, Submit submit, Published published,
   if (const Status st = drain(); r.drain_status.ok()) r.drain_status = st;
   const double sat_start = NowSeconds();
   std::size_t i = s.fixed_end();
-  while (i < limit && NowSeconds() - sat_start < deadline_seconds) {
-    if (i - published() < window) {
+  double round_start = sat_start;
+  while (i < limit && round_start - sat_start < deadline_seconds) {
+    const std::size_t end = std::min(limit, i + round);
+    const std::size_t submitted = end - i;
+    for (; i < end; ++i) {
       if (!submit(s.stream[i])) ++r.refused;
-      ++i;
-    } else {
-      std::this_thread::sleep_for(kPollPeriod);
     }
+    const Status st = drain();
+    if (r.drain_status.ok()) r.drain_status = st;
+    const double now = NowSeconds();
+    r.round_rates.push_back(submitted / (now - round_start));
+    round_start = now;
   }
-  const Status st = drain();
-  if (r.drain_status.ok()) r.drain_status = st;
-  r.saturation_seconds = NowSeconds() - sat_start;
+  r.saturation_seconds = round_start - sat_start;
   r.consumed = i;
   return r;
 }
@@ -510,7 +543,8 @@ class Observer {
         covered_.store(covered);
         if (!snap->top_vertices.empty()) sink += snap->top_vertices[0].second;
       }
-      std::this_thread::sleep_for(kPollPeriod);
+      std::this_thread::sleep_for(covered < watched ? kPollPeriod
+                                                    : kReaderPoll);
     }
     top_sum_ = sink;  // keeps the leaderboard reads observable
   }
@@ -572,7 +606,8 @@ struct ServedOutcome {
 };
 
 template <class Server>
-ServedOutcome Serve(Server* server, const Schedule& s, double saturation_s) {
+ServedOutcome Serve(Server* server, const Workload& w, const Schedule& s,
+                    double saturation_s) {
   ServedOutcome out;
   Observer observer(server, s.fixed_end());
   auto submit = [server](const EdgeUpdate& e) { return server->Submit(e); };
@@ -586,7 +621,7 @@ ServedOutcome Serve(Server* server, const Schedule& s, double saturation_s) {
     if (st.ok()) observer.WaitCovered(published());
     return st;
   };
-  out.load = GenerateLoad(s, submit, published, drain, saturation_s,
+  out.load = GenerateLoad(s, w.round, submit, published, drain, saturation_s,
                           s.stream.size());
   observer.Stop();
   for (std::size_t i = 0; i < s.fixed; ++i) {
@@ -620,7 +655,7 @@ int RunUntraced(const Args& args, const Workload& w) {
                      "service create");
       setups.push_back(NowSeconds() - t0);
     }
-    served = Serve(service.get(), s, saturation_s);
+    served = Serve(service.get(), w, s, saturation_s);
     if (!service->Stop().ok()) ++failures;
     final_snapshot = service->snapshot();
     csr_builds = CsrBuilds(service->framework()->graph());
@@ -633,7 +668,7 @@ int RunUntraced(const Args& args, const Workload& w) {
       cluster = StartCluster(w, s.graph);
       setups.push_back(NowSeconds() - t0);
     }
-    served = Serve(cluster->coordinator.get(), s, saturation_s);
+    served = Serve(cluster->coordinator.get(), w, s, saturation_s);
     if (!cluster->Stop().ok()) ++failures;
     final_snapshot = cluster->coordinator->snapshot();
     for (auto& worker : cluster->workers) {
@@ -654,11 +689,9 @@ int RunUntraced(const Args& args, const Workload& w) {
   if (csr_builds > 1) ++failures;
   if (!args.scores_out.empty()) WriteScores(args.scores_out, position, got);
 
-  const std::size_t saturated = position - s.fixed_end();
   JsonMetrics json;
   json.Add("setup_s", Median(setups), "s");
-  json.Add("capacity_ups", saturated / served.load.saturation_seconds,
-           "updates/s");
+  json.Add("capacity_ups", Median(served.load.round_rates), "updates/s");
   json.Add("rss_peak_mb", PeakRssMb(), "MB");
   // Open-loop latency swings with host interference far more than the
   // metrics above (README.md), so run.py reports it with the per-layer
@@ -695,7 +728,7 @@ class TracedWriter {
  public:
   TracedWriter(const Workload& w, const Schedule& s, const std::string& dir,
                Tracer* tracer)
-      : w_(w), tracer_(tracer), queue_(UpdateQueueOptions{}) {
+      : w_(w), tracer_(tracer), queue_(QueueOptions()) {
     ScopedSpan setup(tracer_, "setup.create", 0);
     bc_ = Take(DynamicBc::Create(s.graph, FrameworkOptions(w, dir)),
                "framework create");
@@ -1029,7 +1062,7 @@ Deployed TraceService(const Workload& w, const Schedule& s, std::size_t limit,
   TracedWriter writer(w, s, dir, tracer);
   writer.Start();
   out.load = GenerateLoad(
-      s, [&](const EdgeUpdate& e) { return writer.Push(e); },
+      s, w.round, [&](const EdgeUpdate& e) { return writer.Push(e); },
       [&] { return writer.published(); }, [&] { return writer.Drain(); },
       kNoDeadline, limit);
   if (!writer.Finish().ok() || !out.load.drain_status.ok()) ++out.failures;
@@ -1081,7 +1114,7 @@ Deployed TraceCluster(const Workload& w, const Schedule& s, std::size_t limit,
   }
   ClusterCoordinator* coordinator = cluster->coordinator.get();
   out.load = GenerateLoad(
-      s,
+      s, w.round,
       [&](const EdgeUpdate& e) {
         ScopedSpan span(tracer, "cluster.submit", 0);
         return coordinator->Submit(e);
@@ -1258,7 +1291,7 @@ int RunTraced(const Args& args, const Workload& w) {
   json.Add("cluster.apply_msg_bytes", dep.cluster_apply_bytes, "bytes");
   json.Add("cluster.ack_bytes", dep.cluster_ack_bytes, "bytes");
   json.AddRaw("traced_capacity_ups",
-              (limit - s.fixed_end()) / dep.load.saturation_seconds);
+              Median(dep.load.round_rates));
   json.AddRaw("mismatches", static_cast<double>(mismatches));
   if (!args.trace_out.empty() && !tracer.Write(args.trace_out)) {
     Die("cannot write " + args.trace_out);
