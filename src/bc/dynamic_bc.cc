@@ -31,9 +31,9 @@ DiskBdStoreOptions MakeDiskOptions(const DynamicBcOptions& options) {
   return disk;
 }
 
-/// Sources the serial out-of-core drain hints ahead of the slab it is
-/// about to compute — the double-buffer depth of the prefetch pipeline.
-constexpr std::size_t kSerialPrefetchSlab = 128;
+/// Sources an out-of-core lane hints ahead of the slab it is about to
+/// compute — the double-buffer depth of the prefetch pipeline.
+constexpr std::size_t kPrefetchSlab = 128;
 
 /// Sample-state sidecar written beside the score file by Checkpoint() in
 /// approx mode (the CLI resume path; the service path carries the blob in
@@ -49,10 +49,18 @@ MsBfsOptions MakeMsBfsOptions(const DynamicBcOptions& options) {
 
 }  // namespace
 
-void DynamicBc::ConfigureKernels() {
+void DynamicBc::InitLanes(PredMode pred_mode) {
+  const auto w = static_cast<std::size_t>(options_.num_threads);
   const MsBfsOptions msbfs = MakeMsBfsOptions(options_);
-  engine_.ConfigureMsBfs(options_.msbfs, msbfs);
-  prefilter_.ConfigureMsBfs(options_.msbfs, msbfs);
+  lanes_.resize(w);
+  for (std::size_t i = 0; i < w; ++i) {
+    Lane& lane = lanes_[i];
+    lane.engine = IncrementalEngine(pred_mode, options_.use_csr);
+    lane.engine.ConfigureMsBfs(options_.msbfs, msbfs);
+    lane.prefilter.ConfigureMsBfs(options_.msbfs, msbfs);
+    if (i > 0) lane.replica = std::make_unique<Graph>(graph_);
+  }
+  if (w > 1) pool_ = std::make_unique<ThreadPool>(w - 1);
 }
 
 Result<std::unique_ptr<DynamicBc>> DynamicBc::Create(
@@ -133,7 +141,7 @@ Result<std::unique_ptr<DynamicBc>> DynamicBc::Create(
   DynamicBcOptions resolved = options;
   resolved.num_threads = ResolveThreads(options.num_threads);
   auto bc = std::unique_ptr<DynamicBc>(
-      new DynamicBc(std::move(graph), std::move(store), pred_mode, resolved));
+      new DynamicBc(std::move(graph), std::move(store), resolved));
   if (approx != nullptr) {
     bc->approx_ = std::move(approx);
     bc->disk_root_ = dynamic_cast<DiskBdStore*>(bc->store_.get());
@@ -142,16 +150,13 @@ Result<std::unique_ptr<DynamicBc>> DynamicBc::Create(
   } else {
     bc->disk_root_ = dynamic_cast<DiskBdStore*>(bc->store_.get());
   }
-  if (resolved.num_threads > 1) {
-    bc->pool_ = std::make_unique<ThreadPool>(
-        static_cast<std::size_t>(resolved.num_threads));
-  }
   if (options.use_csr) {
     // Build the traversal snapshot once, up front; every later Apply only
-    // patches it in O(degree) (asserted via CsrView::stats().builds).
+    // patches it in O(degree) (asserted via CsrView::stats().builds). Lane
+    // replicas copy it rather than building their own.
     bc->graph_.csr();
   }
-  bc->ConfigureKernels();
+  bc->InitLanes(pred_mode);
   BrandesOptions brandes;
   brandes.pred_mode = pred_mode;
   brandes.use_csr = options.use_csr;
@@ -261,20 +266,15 @@ Result<std::unique_ptr<DynamicBc>> DynamicBc::Resume(
     resolved.source_end = (*disk)->source_limit();
   }
   auto bc = std::unique_ptr<DynamicBc>(
-      new DynamicBc(std::move(graph), std::move(*disk),
-                    PredMode::kScanNeighbors, resolved));
+      new DynamicBc(std::move(graph), std::move(*disk), resolved));
   bc->disk_root_ = dynamic_cast<DiskBdStore*>(bc->store_.get());
   if (approx != nullptr) {
     bc->approx_ = std::move(approx);
     bc->store_ = std::make_unique<SampledBdStore>(
         std::move(bc->store_), &bc->approx_->samples());
   }
-  if (resolved.num_threads > 1) {
-    bc->pool_ = std::make_unique<ThreadPool>(
-        static_cast<std::size_t>(resolved.num_threads));
-  }
   if (options.use_csr) bc->graph_.csr();
-  bc->ConfigureKernels();
+  bc->InitLanes(PredMode::kScanNeighbors);
   bc->scores_ = std::move(*scores);
   return bc;
 }
@@ -313,17 +313,11 @@ Status DynamicBc::RestoreScores(BcScores scores) {
   return Status::OK();
 }
 
-int DynamicBc::num_threads() const {
-  return pool_ == nullptr ? 1 : static_cast<int>(pool_->num_threads());
-}
-
 std::uint64_t DynamicBc::MsBfsScratchAllocations() const {
-  std::uint64_t total = engine_.msbfs_scratch().allocation_events() +
-                        prefilter_.scratch().allocation_events();
-  for (const ApplyWorker& wk : workers_) {
-    if (wk.engine != nullptr) {
-      total += wk.engine->msbfs_scratch().allocation_events();
-    }
+  std::uint64_t total = 0;
+  for (const Lane& lane : lanes_) {
+    total += lane.engine.msbfs_scratch().allocation_events() +
+             lane.prefilter.scratch().allocation_events();
   }
   return total;
 }
@@ -355,15 +349,37 @@ Status DynamicBc::ApplyBatch(std::span<const EdgeUpdate> batch) {
   if (needed > store_->num_vertices()) {
     // Grow quiesces the prefetcher, swaps the file if capacity demands it,
     // and retires every cached record via the cache generation — the
-    // coordinator and worker handles all revalidate on their next read, so
+    // root and lane handles all revalidate on their next read, so
     // no handle needs telling (the old InvalidateCache protocol).
     SOBC_RETURN_NOT_OK(store_->Grow(needed));
   }
   if (scores_.vbc.size() < needed) scores_.vbc.resize(needed, 0.0);
-  for (const EdgeUpdate& update : batch) {
-    SOBC_RETURN_NOT_OK(ApplyToGraph(&graph_, update));
-    SOBC_RETURN_NOT_OK(ApplyPrepared(update));
+  SOBC_RETURN_NOT_OK(PrepareLanes(graph_.NumVertices()));
+  // Source-major: every lane walks the whole batch over its own share, so
+  // the batch is the only synchronisation point.
+  if (pool_ != nullptr) {
+    for (std::size_t i = 1; i < lanes_.size(); ++i) {
+      pool_->Submit([this, i, batch, needed] { RunLane(i, batch, needed); });
+    }
   }
+  RunLane(0, batch, needed);
+  if (pool_ != nullptr) pool_->Wait();
+  // Lane 0 wrote scores_ directly; the other partials fold into it in one
+  // tree reduce. Partials of a failed batch still land: the updates before
+  // the first failure are applied on every lane.
+  std::vector<BcScores*> partials = {&scores_};
+  const Lane* failed = nullptr;
+  for (std::size_t i = 0; i < lanes_.size(); ++i) {
+    Lane& lane = lanes_[i];
+    if (i > 0) partials.push_back(&lane.partial);
+    last_stats_.Merge(lane.stats);
+    if (!lane.status.ok() &&
+        (failed == nullptr || lane.failed_at < failed->failed_at)) {
+      failed = &lane;
+    }
+  }
+  TreeReduceScores(pool_.get(), partials);
+  if (failed != nullptr) return failed->status;
   // A net-removed edge's ebc entry holds only floating-point residue.
   for (const EdgeUpdate& update : batch) {
     if (update.op == EdgeOp::kRemove && !graph_.HasEdge(update.u, update.v)) {
@@ -383,7 +399,7 @@ Status DynamicBc::ApplyBatch(std::span<const EdgeUpdate> batch) {
 
 BrandesOptions DynamicBc::SweepOptions() const {
   BrandesOptions brandes;
-  brandes.pred_mode = engine_.pred_mode();
+  brandes.pred_mode = lanes_[0].engine.pred_mode();
   brandes.use_csr = options_.use_csr;
   brandes.use_msbfs = options_.msbfs;
   brandes.msbfs = MakeMsBfsOptions(options_);
@@ -400,182 +416,158 @@ BcScores DynamicBc::EstimatedScores() const {
   return estimates;
 }
 
-Status DynamicBc::ApplyPrepared(const EdgeUpdate& update) {
-  const std::size_t n = graph_.NumVertices();
-  // A scoped framework (cluster shard) walks only its owned partition;
-  // sources outside it belong to other shards and never enter this
-  // deployment's worklist or stats.
-  const auto owned_begin =
-      static_cast<VertexId>(std::min<std::size_t>(options_.source_begin, n));
-  const auto owned_end = static_cast<VertexId>(std::min<std::size_t>(
-      options_.source_end == kInvalidVertex ? n : options_.source_end, n));
-  // The approx mode's "partition" is the sampled set: k scattered sources
-  // instead of a contiguous range, same accounting.
-  const std::size_t owned =
-      approx_ != nullptr ? approx_->samples().size() : owned_end - owned_begin;
+Status DynamicBc::PrepareLanes(std::size_t n) {
+  const std::size_t w = lanes_.size();
+  // Equal contiguous shares of the owned sources as of the batch start,
+  // split the way ShardMap splits shards; the last lane keeps the owned
+  // range's end, so vertices the batch grows have an owner. In approx
+  // mode the shares are sample slots.
+  std::uint64_t first = 0;
+  std::uint64_t count = 0;
+  VertexId last_end = options_.source_end;
+  if (approx_ != nullptr) {
+    count = approx_->samples().size();
+    last_end = static_cast<VertexId>(count);
+  } else {
+    first = options_.source_begin;
+    const std::uint64_t limit =
+        options_.source_end == kInvalidVertex
+            ? n
+            : std::min<std::uint64_t>(options_.source_end, n);
+    count = limit > first ? limit - first : 0;
+  }
+  for (std::size_t i = 0; i < w; ++i) {
+    Lane& lane = lanes_[i];
+    lane.begin = static_cast<VertexId>(first + i * count / w);
+    lane.end = i + 1 == w ? last_end
+                          : static_cast<VertexId>(first + (i + 1) * count / w);
+    if (i == 0 || disk_root_ == nullptr) continue;
+    if (lane.disk_store == nullptr ||
+        lane.disk_store->num_vertices() != store_->num_vertices()) {
+      // Fresh or stale (a Grow changed the layout or swapped the backing
+      // file): reopen onto the current file. OpenShared keeps every lane
+      // on the root's record cache and epochs, which is what lets handles
+      // read each other's writes without any invalidation call. In approx
+      // mode each lane gets its own slot-translating adapter over its
+      // handle (the adapter is stateless past the shared SampleSet).
+      auto handle = disk_root_->OpenShared();
+      if (!handle.ok()) return handle.status();
+      if (approx_ != nullptr) {
+        lane.disk_store = std::make_unique<SampledBdStore>(
+            std::move(*handle), &approx_->samples());
+      } else {
+        lane.disk_store = std::move(*handle);
+      }
+    }
+  }
+  return Status::OK();
+}
+
+void DynamicBc::RunLane(std::size_t i, std::span<const EdgeUpdate> batch,
+                        std::size_t needed) {
+  Lane& lane = lanes_[i];
+  Graph& graph = i == 0 ? graph_ : *lane.replica;
+  lane.stats = UpdateStats{};
+  lane.status = Status::OK();
+  lane.failed_at = batch.size();
+  if (i > 0) {
+    lane.partial.vbc.assign(needed, 0.0);
+    lane.partial.ebc.clear();
+  }
+  for (std::size_t k = 0; k < batch.size(); ++k) {
+    // A rejected update is rejected identically on every lane (the graphs
+    // are equal), so all of them stop on the same update.
+    if (Status st = ApplyToGraph(&graph, batch[k]); !st.ok()) {
+      if (lane.status.ok()) {
+        lane.status = std::move(st);
+        lane.failed_at = k;
+      }
+      return;
+    }
+    // After a store error the lane still steps its graph, keeping every
+    // lane's graph equal to graph_.
+    if (!lane.status.ok()) continue;
+    if (Status st = ApplyLaneUpdate(i, graph, batch[k]); !st.ok()) {
+      lane.status = std::move(st);
+      lane.failed_at = k;
+    }
+  }
+}
+
+Status DynamicBc::ApplyLaneUpdate(std::size_t i, const Graph& graph,
+                                  const EdgeUpdate& update) {
+  Lane& lane = lanes_[i];
+  const std::size_t n = graph.NumVertices();
+  std::vector<VertexId>& worklist = lane.worklist;
+  // The lane's share as of this update: a source range clipped to the
+  // vertices that exist, or a span of sample slots in approx mode (whose
+  // prefilter scan covers every vertex). Sources outside it belong to other
+  // lanes (or, on a scoped framework, to other shards) and never enter this
+  // lane's worklist or stats.
+  std::span<const VertexId> samples;
+  VertexId lo = 0;
+  auto hi = static_cast<VertexId>(n);
+  if (approx_ != nullptr) {
+    samples = approx_->samples().ids().subspan(lane.begin,
+                                               lane.end - lane.begin);
+  } else {
+    lo = static_cast<VertexId>(std::min<std::size_t>(lane.begin, n));
+    hi = static_cast<VertexId>(std::min<std::size_t>(lane.end, n));
+  }
+  const std::size_t owned = approx_ != nullptr ? samples.size() : hi - lo;
   if (options_.prefilter) {
-    SOBC_RETURN_NOT_OK(
-        prefilter_.Build(graph_, update, options_.use_csr, &worklist_));
-    // The prefilter's 2-lane endpoint fold counts toward the update's
-    // kernel totals alongside the engine's structural batches.
-    last_stats_.msbfs_batches += prefilter_.last_stats().batches;
-    last_stats_.bottom_up_levels += prefilter_.last_stats().bottom_up_levels;
+    SOBC_RETURN_NOT_OK(lane.prefilter.Build(graph, update, options_.use_csr,
+                                            lo, hi, &worklist));
+    if (i == 0) {
+      // Every lane runs the same 2-lane endpoint fold; it counts once per
+      // update toward the kernel totals, beside the engine's batches.
+      lane.stats.msbfs_batches += lane.prefilter.last_stats().batches;
+      lane.stats.bottom_up_levels +=
+          lane.prefilter.last_stats().bottom_up_levels;
+    }
     if (approx_ != nullptr) {
-      FilterToSamples(approx_->samples(), &worklist_);
-    } else if (owned != n) {
-      worklist_.erase(
-          std::remove_if(worklist_.begin(), worklist_.end(),
-                         [owned_begin, owned_end](VertexId s) {
-                           return s < owned_begin || s >= owned_end;
-                         }),
-          worklist_.end());
+      FilterToSlots(approx_->samples(), lane.begin, lane.end, &worklist);
     }
     // Prefiltered sources are skipped sources that never paid a BD probe;
     // they count into the same totals so the skipped/non-structural/
     // structural partition of sources_total still adds up (to the owned
     // partition size, not the full vertex count, on a shard).
-    const auto skipped = static_cast<std::uint64_t>(owned - worklist_.size());
-    last_stats_.sources_total += skipped;
-    last_stats_.sources_skipped += skipped;
-    last_stats_.sources_prefiltered += skipped;
+    const auto skipped = static_cast<std::uint64_t>(owned - worklist.size());
+    lane.stats.sources_total += skipped;
+    lane.stats.sources_skipped += skipped;
+    lane.stats.sources_prefiltered += skipped;
   } else if (approx_ != nullptr) {
-    // Without the prefilter the drain probes BD[s] per source, so the
-    // worklist is simply every sampled source, in stable slot order.
-    const std::span<const VertexId> ids = approx_->samples().ids();
-    worklist_.assign(ids.begin(), ids.end());
+    // Without the prefilter the engine probes BD[s] per source, so the
+    // worklist is simply the lane's sampled sources, in stable slot order.
+    worklist.assign(samples.begin(), samples.end());
   } else {
-    worklist_.resize(owned);
-    std::iota(worklist_.begin(), worklist_.end(), owned_begin);
+    worklist.resize(owned);
+    std::iota(worklist.begin(), worklist.end(), lo);
   }
-  if (worklist_.empty()) return Status::OK();
-  if (pool_ == nullptr) {
-    if (disk_root_ != nullptr && disk_root_->prefetch_enabled() &&
-        worklist_.size() > kSerialPrefetchSlab) {
-      // Double-buffered serial drain: hint the next slab before computing
-      // the current one, so the background reader decodes records while
-      // the engine repairs the previous batch.
-      // Hints go through store_ (not disk_root_): in approx mode the
-      // adapter translates the sampled ids to their slots first.
-      const std::span<const VertexId> all = worklist_;
-      store_->Hint(all.subspan(0, kSerialPrefetchSlab));
-      for (std::size_t off = 0; off < all.size();
-           off += kSerialPrefetchSlab) {
-        const std::size_t count =
-            std::min(kSerialPrefetchSlab, all.size() - off);
-        const std::size_t next = off + count;
-        if (next < all.size()) {
-          store_->Hint(all.subspan(
-              next, std::min(kSerialPrefetchSlab, all.size() - next)));
-        }
-        SOBC_RETURN_NOT_OK(engine_.ApplyUpdateForSources(
-            graph_, update, all.subspan(off, count), store_.get(), &scores_,
-            &last_stats_));
-      }
-      return Status::OK();
+  BcScores* scores = i == 0 ? &scores_ : &lane.partial;
+  BdStore* store = i == 0 || lane.disk_store == nullptr
+                       ? store_.get()
+                       : lane.disk_store.get();
+  // Double-buffered out-of-core drain: hint the next slab before computing
+  // the current one, so the background reader decodes records while the
+  // engine repairs the previous slab. Hints go through store_ (the root
+  // owns the prefetcher; in approx mode its adapter translates sampled ids
+  // to slots first).
+  const std::span<const VertexId> all = worklist;
+  const bool prefetch = disk_root_ != nullptr &&
+                        disk_root_->prefetch_enabled() &&
+                        all.size() > kPrefetchSlab;
+  const std::size_t slab = prefetch ? kPrefetchSlab : all.size();
+  if (prefetch) store_->Hint(all.first(slab));
+  for (std::size_t off = 0; off < all.size(); off += slab) {
+    const std::size_t count = std::min(slab, all.size() - off);
+    const std::size_t next = off + count;
+    if (prefetch && next < all.size()) {
+      store_->Hint(all.subspan(next, std::min(slab, all.size() - next)));
     }
-    return engine_.ApplyUpdateForSources(graph_, update, worklist_,
-                                         store_.get(), &scores_, &last_stats_);
+    SOBC_RETURN_NOT_OK(lane.engine.ApplyUpdateForSources(
+        graph, update, all.subspan(off, count), store, scores, &lane.stats));
   }
-  return ParallelDrain(update);
-}
-
-Status DynamicBc::EnsureWorkers(std::size_t w, std::size_t n) {
-  if (workers_.size() < w) workers_.resize(w);
-  const bool disk = options_.variant == BcVariant::kOutOfCore;
-  if (disk && disk_root_ == nullptr) {
-    return Status::Internal("kOutOfCore framework without a disk store");
-  }
-  for (std::size_t i = 0; i < w; ++i) {
-    ApplyWorker& wk = workers_[i];
-    if (wk.engine == nullptr) {
-      wk.engine = std::make_unique<IncrementalEngine>(engine_.pred_mode(),
-                                                      options_.use_csr);
-    }
-    wk.engine->ConfigureMsBfs(options_.msbfs, MakeMsBfsOptions(options_));
-    if (disk && (wk.disk_store == nullptr ||
-                 wk.disk_store->num_vertices() != store_->num_vertices())) {
-      // Fresh or stale (a Grow changed the layout or swapped the backing
-      // file): reopen onto the current file. OpenShared keeps every worker
-      // on the root's record cache and epochs, which is what lets handles
-      // read each other's writes without any invalidation call. In approx
-      // mode each worker gets its own slot-translating adapter over its
-      // handle (the adapter is stateless past the shared SampleSet).
-      auto handle = disk_root_->OpenShared();
-      if (!handle.ok()) return handle.status();
-      if (approx_ != nullptr) {
-        wk.disk_store = std::make_unique<SampledBdStore>(
-            std::move(*handle), &approx_->samples());
-      } else {
-        wk.disk_store = std::move(*handle);
-      }
-    }
-    wk.delta.vbc.assign(n, 0.0);
-    wk.delta.ebc.clear();
-    wk.stats = UpdateStats{};
-    wk.status = Status::OK();
-  }
-  return Status::OK();
-}
-
-Status DynamicBc::ParallelDrain(const EdgeUpdate& update) {
-  const std::size_t n = graph_.NumVertices();
-  FillSourceCostWeights(graph_, options_.use_csr, worklist_, &weights_);
-  SourceSharderOptions sharding;
-  sharding.num_workers = pool_->num_threads();
-  // Chunk cuts snap to the kernel's lane width so every chunk drains in
-  // whole 64-source batches (ragged tails waste lane occupancy).
-  if (options_.msbfs) sharding.batch_align = MsBfsScratch::kLanes;
-  sharder_.Reset(worklist_, weights_, sharding);
-  const std::size_t w = std::min(pool_->num_threads(), sharder_.num_chunks());
-  SOBC_RETURN_NOT_OK(EnsureWorkers(w, n));
-
-  // Prefetch pipeline: the sharder publishes the chunk sequence, so hints
-  // can run `lookahead` claims ahead of the work-stealing cursor. The
-  // worker claiming chunk i hints chunk i + lookahead (each chunk is
-  // hinted exactly once); the first `lookahead` chunks are primed here.
-  const std::size_t chunks = sharder_.num_chunks();
-  const bool prefetch =
-      disk_root_ != nullptr && disk_root_->prefetch_enabled();
-  const std::size_t lookahead = w + 1;
-  if (prefetch) {
-    for (std::size_t c = 0; c < std::min(lookahead, chunks); ++c) {
-      store_->Hint(sharder_.ChunkSources(c));
-    }
-  }
-
-  auto run_worker = [&](std::size_t i) {
-    ApplyWorker& wk = workers_[i];
-    BdStore* store = wk.disk_store ? wk.disk_store.get() : store_.get();
-    std::span<const VertexId> chunk;
-    std::size_t idx = 0;
-    while (sharder_.Next(&chunk, &idx)) {
-      if (prefetch && idx + lookahead < chunks) {
-        store_->Hint(sharder_.ChunkSources(idx + lookahead));
-      }
-      const Status st = wk.engine->ApplyUpdateForSources(
-          graph_, update, chunk, store, &wk.delta, &wk.stats);
-      if (!st.ok()) {
-        wk.status = st;
-        sharder_.Abort();
-        return;
-      }
-    }
-  };
-  if (w == 1) {
-    run_worker(0);
-  } else {
-    ParallelFor(pool_.get(), w, run_worker);
-  }
-  for (std::size_t i = 0; i < w; ++i) {
-    SOBC_RETURN_NOT_OK(workers_[i].status);
-  }
-
-  std::vector<BcScores*> partials;
-  partials.reserve(w);
-  for (std::size_t i = 0; i < w; ++i) partials.push_back(&workers_[i].delta);
-  TreeReduceScores(w > 2 ? pool_.get() : nullptr, partials);
-  scores_.Merge(workers_[0].delta);
-  for (std::size_t i = 0; i < w; ++i) last_stats_.Merge(workers_[i].stats);
   return Status::OK();
 }
 

@@ -15,7 +15,6 @@
 #include "common/status.h"
 #include "graph/edge_stream.h"
 #include "graph/graph.h"
-#include "parallel/source_sharder.h"
 #include "parallel/thread_pool.h"
 #include "storage/record_codec.h"
 
@@ -32,7 +31,7 @@ enum class BcVariant {
 
 /// Per-deployment configuration of the framework: which storage variant
 /// runs, how its out-of-core engine is tuned, and how each update's
-/// source loop is driven (CSR, prefilter, worker count).
+/// source loop is driven (CSR, prefilter, lane count).
 struct DynamicBcOptions {
   BcVariant variant = BcVariant::kMemory;
   /// Backing file for the kOutOfCore variant.
@@ -45,7 +44,7 @@ struct DynamicBcOptions {
   /// Recorded in the file header at Create; Resume follows the header.
   RecordCodecId store_codec = RecordCodecId::kRaw;
   /// Shared hot-record cache budget of the out-of-core store, in MiB; every
-  /// worker handle of the file shares it (0 disables caching).
+  /// lane handle of the file shares it (0 disables caching).
   std::size_t cache_mb = 64;
   /// Decode upcoming dirty-source records into the shared cache on a
   /// background thread, overlapping read-ahead with compute (out-of-core
@@ -55,10 +54,11 @@ struct DynamicBcOptions {
   /// adjacency-list path remains selectable so the CSR win stays
   /// measurable (bench/micro_core.cc).
   bool use_csr = true;
-  /// Workers the per-update source loop fans out across (the sharded
-  /// parallel apply of DESIGN.md §9). 1 keeps the loop on the calling
-  /// thread; 0 resolves to the hardware concurrency. Every worker owns a
-  /// private engine and score partial, so results are identical to the
+  /// Lanes of the source-major apply (DESIGN.md §9): each lane owns an
+  /// equal contiguous share of the sources and steps a private graph
+  /// replica through every update of a batch; the lanes' score partials
+  /// reduce once per batch. 1 keeps the loop on the calling thread; 0
+  /// resolves to the hardware concurrency. Results are identical to the
   /// serial loop up to floating-point summation order.
   int num_threads = 1;
   /// Skip unaffected sources via two endpoint BFS traversals before the
@@ -116,11 +116,13 @@ struct DynamicBcOptions {
 ///   for (const EdgeUpdate& e : stream) bc->Apply(e);
 ///   double score = bc->vbc()[v];
 ///
-/// With options.num_threads > 1 every Apply/ApplyBatch fans the per-source
-/// work of each update out across an internal thread pool (prefiltered
-/// dirty-source worklist, degree-weighted dynamic chunks, per-worker score
-/// partials reduced tree-wise); the caller-facing contract is unchanged
-/// and all public methods must still be called from one thread at a time.
+/// With options.num_threads = W > 1 every Apply/ApplyBatch runs
+/// source-major: W lanes, each owning 1/W of the sources, walk the whole
+/// batch in parallel (per update: prefilter over the lane's share, then the
+/// engine over its dirty sources), and the lane partials are reduced once
+/// when the batch ends. The batch, not the update, is the unit of
+/// synchronisation. The caller-facing contract is unchanged and all public
+/// methods must still be called from one thread at a time.
 class DynamicBc {
  public:
   /// Builds the framework over `graph` (Step 1, O(nm)).
@@ -159,7 +161,10 @@ class DynamicBc {
   /// the serving layer's writer thread drains from its update queue.
   /// Score-equivalent to calling Apply per element, but store growth,
   /// score resizing, and engine scratch sizing are paid once per batch.
-  /// last_update_stats() afterwards covers the whole batch.
+  /// last_update_stats() afterwards covers the whole batch. On a rejected
+  /// update (e.g. removing an absent edge) the graph and scores reflect
+  /// exactly the updates before it; after a store error the BD state is
+  /// not trustworthy and the deployment must recover from a checkpoint.
   Status ApplyBatch(std::span<const EdgeUpdate> batch);
 
   const Graph& graph() const { return graph_; }
@@ -173,13 +178,20 @@ class DynamicBc {
   /// Counters for the most recent Apply call.
   const UpdateStats& last_update_stats() const { return last_stats_; }
 
-  /// Apply workers actually in use (1 when serial).
-  int num_threads() const;
+  /// Apply lanes in use (1 when serial).
+  int num_threads() const { return static_cast<int>(lanes_.size()); }
+
+  /// The graph lane `i` traverses: graph() for lane 0, the lane's private
+  /// replica otherwise. Test hook for the replica contract — every replica
+  /// equals graph() between batches and is patched, never rebuilt.
+  const Graph& lane_graph(std::size_t i) const {
+    return i == 0 ? graph_ : *lanes_[i].replica;
+  }
 
   /// Capacity-growth events summed over every MS-BFS scratch the framework
-  /// owns (serial engine, per-worker engines, prefilter). Test hook for
-  /// the reuse guarantee: once the drains are warmed this must stop
-  /// moving — steady-state traversal allocates nothing.
+  /// owns (each lane's engine and prefilter). Test hook for the reuse
+  /// guarantee: once the lanes are warmed this must stop moving —
+  /// steady-state traversal allocates nothing.
   std::uint64_t MsBfsScratchAllocations() const;
 
   BdStore* store() { return store_.get(); }
@@ -219,39 +231,57 @@ class DynamicBc {
   BcScores EstimatedScores() const;
 
  private:
-  /// One lane of the sharded parallel apply: a private engine (scratch is
-  /// not shareable), a private score partial, and — for the out-of-core
-  /// variant — a private store handle, so the drain runs without a single
-  /// lock (BD columns of distinct sources never alias).
-  struct ApplyWorker {
-    std::unique_ptr<IncrementalEngine> engine;
-    std::unique_ptr<BdStore> disk_store;  // kOutOfCore only
-    BcScores delta;
+  /// One lane of the source-major apply. Lane 0 steps graph_ and writes
+  /// scores_ and store_ directly, so the serial framework is the one-lane
+  /// case; lanes >= 1 own a graph replica (O(m), patched in O(degree) like
+  /// graph_, never rebuilt), a score partial, and for the out-of-core
+  /// variant a private store handle. BD columns of distinct sources never
+  /// alias, so lanes run without a single lock.
+  struct Lane {
+    std::unique_ptr<Graph> replica;       // lanes >= 1
+    std::unique_ptr<BdStore> disk_store;  // lanes >= 1, kOutOfCore only
+    IncrementalEngine engine;
+    SourcePrefilter prefilter;
+    BcScores partial;                     // lanes >= 1
+    std::vector<VertexId> worklist;
     UpdateStats stats;
+    /// This batch's share: source ids [begin, end) in exact mode (end may be
+    /// kInvalidVertex on the last lane, adopting grown vertices), sample
+    /// slots [begin, end) in approx mode.
+    VertexId begin = 0;
+    VertexId end = 0;
+    /// First failure of this batch and the batch index it hit.
     Status status;
+    std::size_t failed_at = 0;
   };
 
-  DynamicBc(Graph graph, std::unique_ptr<BdStore> store, PredMode pred_mode,
+  DynamicBc(Graph graph, std::unique_ptr<BdStore> store,
             const DynamicBcOptions& options)
       : options_(options),
         graph_(std::move(graph)),
-        store_(std::move(store)),
-        engine_(pred_mode, options.use_csr) {}
+        store_(std::move(store)) {}
 
-  /// Applies the MS-BFS configuration to the engine and prefilter.
-  void ConfigureKernels();
+  /// Builds the lanes (replicas, engines, pool) and applies the MS-BFS
+  /// configuration to every engine and prefilter. Called once the graph's
+  /// CsrView exists, so replicas copy it instead of building their own.
+  void InitLanes(PredMode pred_mode);
   /// Step 1 of the approx mode: sweeps each sampled source into the
   /// maintained sums and its BD slot.
   Status InitializeSampled(const BrandesOptions& brandes);
   /// Brandes configuration matching the engine, for resampling sweeps.
   BrandesOptions SweepOptions() const;
-  /// Worklist + dispatch for one update; `graph_` must already reflect it.
-  Status ApplyPrepared(const EdgeUpdate& update);
-  /// Drains the current worklist across the pool and folds the partials.
-  Status ParallelDrain(const EdgeUpdate& update);
-  /// Sizes worker slots (engines, deltas, per-worker DO handles) for `w`
-  /// workers over an `n`-vertex graph.
-  Status EnsureWorkers(std::size_t w, std::size_t n);
+  /// Splits the owned sources across the lanes for a batch whose graph
+  /// starts with `n` vertices, and reopens lane store handles a Grow made
+  /// stale.
+  Status PrepareLanes(std::size_t n);
+  /// Steps lane `i` through the batch, its partial zeroed to `needed`
+  /// vertices first; records the lane's first failure.
+  void RunLane(std::size_t i, std::span<const EdgeUpdate> batch,
+               std::size_t needed);
+  /// One update's prefilter and engine pass over lane `i`'s share; `graph`
+  /// already reflects the update.
+  Status ApplyLaneUpdate(std::size_t i, const Graph& graph,
+                         const EdgeUpdate& update);
 
   DynamicBcOptions options_;
   Graph graph_;
@@ -263,17 +293,13 @@ class DynamicBc {
   /// store_ downcast when the variant is out-of-core (hint/prefetch entry
   /// points live on the disk store); null otherwise.
   DiskBdStore* disk_root_ = nullptr;
-  IncrementalEngine engine_;
   BcScores scores_;
   UpdateStats last_stats_;
 
-  // Sharded-apply state (null / empty while num_threads <= 1).
+  std::vector<Lane> lanes_;
+  /// Runs lanes 1..W-1 while the calling thread runs lane 0; null when
+  /// serial.
   std::unique_ptr<ThreadPool> pool_;
-  std::vector<ApplyWorker> workers_;
-  SourcePrefilter prefilter_;
-  SourceSharder sharder_;
-  std::vector<VertexId> worklist_;
-  std::vector<std::uint64_t> weights_;
 };
 
 }  // namespace sobc

@@ -92,10 +92,10 @@ class IncrementalEngine {
                           VertexId begin, VertexId end, BdStore* store,
                           BcScores* scores, UpdateStats* stats);
 
-  /// Same, restricted to an explicit source worklist — the unit one worker
-  /// chunk of the sharded parallel apply processes (a prefiltered
-  /// dirty-source list sliced by SourceSharder). `scores` may hold a
-  /// worker's partial sums, exactly like a mapper partition's.
+  /// Same, restricted to an explicit source worklist — the unit one apply
+  /// lane processes per update (its share of the prefiltered dirty
+  /// sources), or one SourceSharder chunk in ParallelDynamicBc. `scores`
+  /// may hold a lane's partial sums, exactly like a mapper partition's.
   Status ApplyUpdateForSources(const Graph& graph, const EdgeUpdate& update,
                                std::span<const VertexId> sources,
                                BdStore* store, BcScores* scores,

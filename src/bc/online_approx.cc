@@ -395,11 +395,14 @@ Status OnlineApproxState::Swap(const Graph& graph,
   return store->PutInitial(arriving, std::move(sweep_data_));
 }
 
-void FilterToSamples(const SampleSet& samples,
-                     std::vector<VertexId>* worklist) {
+void FilterToSlots(const SampleSet& samples, VertexId slot_begin,
+                   VertexId slot_end, std::vector<VertexId>* worklist) {
+  // Non-members map to kInvalidVertex, which no slot range reaches.
   worklist->erase(std::remove_if(worklist->begin(), worklist->end(),
-                                 [&samples](VertexId s) {
-                                   return !samples.Contains(s);
+                                 [&](VertexId s) {
+                                   const VertexId slot = samples.SlotOf(s);
+                                   return slot < slot_begin ||
+                                          slot >= slot_end;
                                  }),
                   worklist->end());
 }

@@ -80,7 +80,7 @@ class SampleSet {
 /// records for the sampled sources only: global source ids are translated
 /// to their sample slots before reaching the inner store, which is created
 /// over the contiguous range [0, k). This is what lets the incremental
-/// engine, the sharder, and the out-of-core prefetch path run completely
+/// engine, the apply lanes, and the out-of-core prefetch path run completely
 /// unchanged in approx mode — they keep addressing sources by global id —
 /// while the store footprint drops from O(n) records to O(k).
 class SampledBdStore : public BdStore {
@@ -220,9 +220,11 @@ class OnlineApproxState {
   SourceBcData sweep_data_;
 };
 
-/// Drops every non-sampled source from `worklist` in place — the approx
-/// counterpart of the shard ownership clip in the update path.
-void FilterToSamples(const SampleSet& samples, std::vector<VertexId>* worklist);
+/// Keeps in place only the sources of `worklist` whose sample slot lies in
+/// [slot_begin, slot_end) — one apply lane's share of the sampled sources,
+/// the approx counterpart of the exact mode's source range.
+void FilterToSlots(const SampleSet& samples, VertexId slot_begin,
+                   VertexId slot_end, std::vector<VertexId>* worklist);
 
 }  // namespace sobc
 

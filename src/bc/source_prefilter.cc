@@ -1,5 +1,7 @@
 #include "bc/source_prefilter.h"
 
+#include <algorithm>
+
 #include "graph/csr_view.h"
 
 namespace sobc {
@@ -30,6 +32,7 @@ void SourcePrefilter::Bfs(const Adj& adj, VertexId root,
 
 template <class Adj>
 void SourcePrefilter::Run(const Adj& adj, const EdgeUpdate& update,
+                          VertexId begin, VertexId end,
                           std::vector<VertexId>* dirty) {
   const std::size_t n = adj.NumVertices();
   last_stats_ = MsBfsStats{};
@@ -54,29 +57,32 @@ void SourcePrefilter::Run(const Adj& adj, const EdgeUpdate& update,
     // Affected iff s reaches u and d(s,v) > d(s,u): for additions that
     // means d(s,v) == d(s,u) + 1 through the new edge; for removals that
     // the lost edge carried shortest paths (d_old(s,v) was d(s,u) + 1).
-    for (VertexId s = 0; s < n; ++s) {
+    for (VertexId s = begin; s < end; ++s) {
       if (du_[s] != kUnreachable && dv_[s] > du_[s]) dirty->push_back(s);
     }
   } else {
     // Proposition 3.1: equal endpoint distances (including both
     // unreachable) mean no shortest path from s crosses the edge.
-    for (VertexId s = 0; s < n; ++s) {
+    for (VertexId s = begin; s < end; ++s) {
       if (du_[s] != dv_[s]) dirty->push_back(s);
     }
   }
 }
 
 Status SourcePrefilter::Build(const Graph& graph, const EdgeUpdate& update,
-                              bool use_csr, std::vector<VertexId>* dirty) {
+                              bool use_csr, VertexId begin, VertexId end,
+                              std::vector<VertexId>* dirty) {
   const std::size_t n = graph.NumVertices();
   if (update.u >= n || update.v >= n) {
     return Status::InvalidArgument(
         "prefilter endpoints outside the graph (apply the update first)");
   }
+  end = static_cast<VertexId>(std::min<std::size_t>(end, n));
+  begin = std::min(begin, end);
   if (use_csr) {
-    Run(graph.csr(), update, dirty);
+    Run(graph.csr(), update, begin, end, dirty);
   } else {
-    Run(GraphAdjacency(graph), update, dirty);
+    Run(GraphAdjacency(graph), update, begin, end, dirty);
   }
   return Status::OK();
 }

@@ -37,8 +37,8 @@ namespace sobc {
 /// directed graphs "affected" is exactly d_new(s,u) finite and
 /// d_new(s,v) > d_new(s,u), for additions and removals alike.
 ///
-/// Not thread-safe; the coordinator runs it once per update and hands the
-/// worklist out read-only.
+/// Not thread-safe; each apply lane owns one and runs it once per update
+/// over its share of the sources.
 class SourcePrefilter {
  public:
   /// Fills `dirty` (ascending) with every source the update may affect.
@@ -46,7 +46,15 @@ class SourcePrefilter {
   /// absent for removals). Traverses the CsrView snapshot when `use_csr`,
   /// the adjacency lists otherwise.
   Status Build(const Graph& graph, const EdgeUpdate& update, bool use_csr,
-               std::vector<VertexId>* dirty);
+               std::vector<VertexId>* dirty) {
+    return Build(graph, update, use_csr, 0, kInvalidVertex, dirty);
+  }
+
+  /// Same, keeping only the dirty sources in [begin, end) (clipped to the
+  /// graph) — one apply lane's share. The endpoint traversals still cover
+  /// the whole graph; only the collection scan narrows.
+  Status Build(const Graph& graph, const EdgeUpdate& update, bool use_csr,
+               VertexId begin, VertexId end, std::vector<VertexId>* dirty);
 
   /// Selects the traversal kernel: 2-lane MS-BFS (default) or the scalar
   /// two-pass baseline, with the direction-switch tuning to use.
@@ -65,8 +73,8 @@ class SourcePrefilter {
 
  private:
   template <class Adj>
-  void Run(const Adj& adj, const EdgeUpdate& update,
-           std::vector<VertexId>* dirty);
+  void Run(const Adj& adj, const EdgeUpdate& update, VertexId begin,
+           VertexId end, std::vector<VertexId>* dirty);
   template <class Adj>
   void Bfs(const Adj& adj, VertexId root, std::vector<Distance>* dist);
 

@@ -12,9 +12,10 @@
 namespace sobc {
 
 /// Fixed-size worker pool. Tasks are opaque closures; Wait() blocks until
-/// the queue drains and every in-flight task finishes. The parallel
-/// executor uses one pool for the lifetime of the framework, submitting one
-/// task per logical mapper per update.
+/// the queue drains and every in-flight task finishes. Each framework keeps
+/// one pool for its lifetime: DynamicBc submits one task per apply lane per
+/// batch (DESIGN.md §9), ParallelDynamicBc one per mapper chunk per
+/// update.
 class ThreadPool {
  public:
   explicit ThreadPool(std::size_t num_threads);

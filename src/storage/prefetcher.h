@@ -33,10 +33,10 @@ struct PrefetchStats {
 /// fetch is just a cache miss — so hints are fire-and-forget from any
 /// thread.
 ///
-/// Pacing comes from the hint sites, not from this class: the sharded
-/// drain's worker claiming chunk k hints chunk k + lookahead
-/// (SourceSharder::ChunkSources), and the serial drain hints the next
-/// slab before computing the current one — double-buffering in both cases.
+/// Pacing comes from the hint sites, not from this class: each DynamicBc
+/// apply lane hints its next slab before computing the current one, and
+/// ParallelDynamicBc's worker claiming chunk k hints chunk k + lookahead
+/// (SourceSharder::ChunkSources) — double-buffering in both cases.
 ///
 /// Quiesce() empties the queue and blocks until the thread is idle; the
 /// store calls it before Grow (the epoch array is resized) and before

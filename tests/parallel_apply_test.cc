@@ -1,16 +1,18 @@
-// Differential coverage for the sharded parallel apply and the
+// Differential coverage for the source-major parallel apply and the
 // affected-source prefilter (DESIGN.md §9): for every storage variant
 // (MP/MO/DO) and every stream shape the paper distinguishes (additions,
-// removals, disconnections), the framework must produce — after every
-// single update — scores identical (up to floating-point summation order)
-// whether the per-update source loop runs serially, serially without the
-// prefilter, or sharded across 2 or 8 workers. From-scratch Brandes is the
-// independent referee at every step.
+// removals, disconnections, vertex growth), the framework must produce —
+// after every single update, and after every multi-update batch — scores
+// identical (up to floating-point summation order) whether the source loop
+// runs serially, serially without the prefilter, or split across 2, 4 or 8
+// lanes. From-scratch Brandes is the independent referee at every step.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "bc/dynamic_bc.h"
 #include "common/rng.h"
 #include "gen/stream_generators.h"
+#include "graph/csr_view.h"
 #include "tests/test_util.h"
 #include "tests/testlib/scenarios.h"
 
@@ -146,29 +149,36 @@ TEST(ParallelApply, RemovalStreamAllVariants) {
   RunDifferential(base, stream, "removals");
 }
 
-TEST(ParallelApply, DisconnectionStreamAllVariants) {
-  // Two dense-ish clusters joined by a single bridge; the stream cuts the
-  // bridge (splitting a component off — Section 4.5), keeps churning each
-  // side, then heals the cut.
-  Rng rng(1003);
+constexpr VertexId kHalf = 14;
+
+/// Two dense-ish clusters of kHalf vertices joined by the single bridge
+/// (0, kHalf).
+Graph TwoClusterGraph(Rng* rng) {
   Graph base;
-  constexpr VertexId kHalf = 14;
   base.EnsureVertex(2 * kHalf - 1);
   for (VertexId v = 1; v < kHalf; ++v) {
-    ASSERT_TRUE(base.AddEdge(static_cast<VertexId>(rng.Uniform(v)), v).ok());
-    ASSERT_TRUE(base.AddEdge(kHalf + static_cast<VertexId>(rng.Uniform(v)),
+    EXPECT_TRUE(base.AddEdge(static_cast<VertexId>(rng->Uniform(v)), v).ok());
+    EXPECT_TRUE(base.AddEdge(kHalf + static_cast<VertexId>(rng->Uniform(v)),
                              kHalf + v)
                     .ok());
   }
   for (int i = 0; i < 8; ++i) {
-    const auto u = static_cast<VertexId>(rng.Uniform(kHalf));
-    const auto v = static_cast<VertexId>(rng.Uniform(kHalf));
+    const auto u = static_cast<VertexId>(rng->Uniform(kHalf));
+    const auto v = static_cast<VertexId>(rng->Uniform(kHalf));
     if (u != v) (void)base.AddEdge(u, v);
-    const auto x = kHalf + static_cast<VertexId>(rng.Uniform(kHalf));
-    const auto y = kHalf + static_cast<VertexId>(rng.Uniform(kHalf));
+    const auto x = kHalf + static_cast<VertexId>(rng->Uniform(kHalf));
+    const auto y = kHalf + static_cast<VertexId>(rng->Uniform(kHalf));
     if (x != y) (void)base.AddEdge(x, y);
   }
-  ASSERT_TRUE(base.AddEdge(0, kHalf).ok());
+  EXPECT_TRUE(base.AddEdge(0, kHalf).ok());
+  return base;
+}
+
+TEST(ParallelApply, DisconnectionStreamAllVariants) {
+  // The stream cuts the bridge (splitting a component off — Section 4.5),
+  // keeps churning each side, then heals the cut.
+  Rng rng(1003);
+  const Graph base = TwoClusterGraph(&rng);
 
   EdgeStream stream;
   stream.push_back({3, kHalf + 3, EdgeOp::kAdd, 0.0});
@@ -263,9 +273,173 @@ TEST(ParallelApply, BatchedParallelApplyMatchesPerUpdate) {
                    "batched parallel");
 }
 
+/// Replays `stream` in ApplyBatch calls of 1, 7 and 64 updates under 2, 4
+/// and 8 lanes of every variant, holding each framework to from-scratch
+/// Brandes after every batch and every lane replica to the batch's final
+/// graph.
+void RunBatchDifferential(const Graph& base, const EdgeStream& stream,
+                          const std::string& label) {
+  for (const std::size_t batch : {1, 7, 64}) {
+    std::vector<ApplyConfig> configs;
+    for (const int threads : {2, 4, 8}) {
+      configs.push_back({BcVariant::kMemory, threads});
+      configs.push_back({BcVariant::kMemoryPredecessors, threads});
+      configs.push_back({BcVariant::kOutOfCore, threads, true,
+                         threads == 4 ? RecordCodecId::kDelta
+                                      : RecordCodecId::kRaw,
+                         /*prefetch=*/true});
+    }
+    const std::string tag = label + "_b" + std::to_string(batch);
+    std::vector<std::unique_ptr<DynamicBc>> frameworks;
+    for (const ApplyConfig& config : configs) {
+      frameworks.push_back(MakeBc(base, config, tag));
+      ASSERT_NE(frameworks.back(), nullptr);
+    }
+    Graph replay = base;
+    for (std::size_t i = 0; i < stream.size(); i += batch) {
+      const std::span<const EdgeUpdate> updates(
+          stream.data() + i, std::min(batch, stream.size() - i));
+      // Every update's source loop covers the whole (possibly grown)
+      // vertex set, split across lanes or not.
+      std::uint64_t sources = 0;
+      for (const EdgeUpdate& update : updates) {
+        ASSERT_TRUE(ApplyToGraph(&replay, update).ok());
+        sources += replay.NumVertices();
+      }
+      const BcScores expected = ComputeBrandes(replay);
+      const std::vector<EdgeKey> edges = replay.Edges();
+      for (std::size_t c = 0; c < configs.size(); ++c) {
+        const std::string where = tag + " " + ConfigName(configs[c]) +
+                                  " batch at " + std::to_string(i);
+        DynamicBc& bc = *frameworks[c];
+        ASSERT_TRUE(bc.ApplyBatch(updates).ok()) << where;
+        ExpectScoresNear(expected, bc.scores(), kTol, where);
+        EXPECT_EQ(bc.last_update_stats().sources_total, sources) << where;
+        ASSERT_EQ(bc.num_threads(), configs[c].threads);
+        for (int lane = 0; lane < bc.num_threads(); ++lane) {
+          const Graph& g = bc.lane_graph(static_cast<std::size_t>(lane));
+          EXPECT_EQ(g.Edges(), edges) << where << " lane " << lane;
+          EXPECT_EQ(g.NumVertices(), replay.NumVertices()) << where;
+          EXPECT_LE(g.csr().stats().builds, 1u) << where << " lane " << lane;
+        }
+      }
+    }
+  }
+}
+
+TEST(ParallelApply, MultiUpdateBatchesAllVariants) {
+  Rng rng(1010);
+  const Graph base = TwoClusterGraph(&rng);
+  const VertexId fresh = 2 * kHalf;  // first id beyond the base graph
+  EdgeStream stream = {
+      {3, kHalf + 3, EdgeOp::kAdd, 0.0},     // add, then remove in the
+      {3, kHalf + 3, EdgeOp::kRemove, 0.0},  // same batch
+      {0, kHalf, EdgeOp::kRemove, 0.0},      // cuts the only bridge
+      {1, fresh, EdgeOp::kAdd, 0.0},         // grows mid-batch
+      {fresh, fresh + 1, EdgeOp::kAdd, 0.0},
+      {kHalf + 2, fresh + 3, EdgeOp::kAdd, 0.0},  // leaves fresh+2 isolated
+      {2, kHalf + 7, EdgeOp::kAdd, 0.0},          // re-joins
+  };
+  Graph tracked = base;
+  for (const EdgeUpdate& update : stream) {
+    ASSERT_TRUE(ApplyToGraph(&tracked, update).ok());
+  }
+  // Churn with removals (some of which disconnect the sparse new tail),
+  // then more growth inside the second 64-update batch.
+  for (const EdgeUpdate& update : MixedUpdateStream(tracked, 60, 0.45, &rng)) {
+    ASSERT_TRUE(ApplyToGraph(&tracked, update).ok());
+    stream.push_back(update);
+  }
+  stream.push_back({2, kHalf + 7,
+                    tracked.HasEdge(2, kHalf + 7) ? EdgeOp::kRemove
+                                                  : EdgeOp::kAdd,
+                    0.0});
+  stream.push_back({5, fresh + 5, EdgeOp::kAdd, 0.0});
+  RunBatchDifferential(base, stream, "batches");
+}
+
+TEST(ParallelApply, MultiUpdateBatchesFewerVerticesThanLanes) {
+  Graph base;
+  ASSERT_TRUE(base.AddEdge(0, 1).ok());
+  ASSERT_TRUE(base.AddEdge(1, 2).ok());
+  const EdgeStream stream = {
+      {0, 2, EdgeOp::kAdd, 0.0},    {1, 2, EdgeOp::kRemove, 0.0},
+      {2, 3, EdgeOp::kAdd, 0.0},    {3, 4, EdgeOp::kAdd, 0.0},
+      {0, 1, EdgeOp::kRemove, 0.0}, {4, 5, EdgeOp::kAdd, 0.0},
+      {1, 5, EdgeOp::kAdd, 0.0},    {0, 2, EdgeOp::kRemove, 0.0},
+      {0, 2, EdgeOp::kAdd, 0.0},    {6, 9, EdgeOp::kAdd, 0.0},
+      {5, 9, EdgeOp::kAdd, 0.0},    {2, 3, EdgeOp::kRemove, 0.0},
+  };
+  RunBatchDifferential(base, stream, "tiny");
+}
+
+TEST(ParallelApply, BatchStatsMatchSerial) {
+  // Lanes partition the sources, so every per-source counter of a batch
+  // must add up to exactly the serial framework's, whatever the variant.
+  const auto [base, stream] = testlib::ChurnScenario(
+      /*seed=*/1011, /*n=*/40, /*extra_edges=*/50, /*updates=*/192,
+      /*remove_fraction=*/0.4);
+  for (const BcVariant variant :
+       {BcVariant::kMemory, BcVariant::kMemoryPredecessors,
+        BcVariant::kOutOfCore}) {
+    for (const bool prefilter : {true, false}) {
+      const ApplyConfig serial_config{variant, 1, prefilter};
+      const ApplyConfig lanes_config{variant, 4, prefilter};
+      auto serial = MakeBc(base, serial_config, "stats");
+      auto lanes = MakeBc(base, lanes_config, "stats");
+      ASSERT_NE(serial, nullptr);
+      ASSERT_NE(lanes, nullptr);
+      for (std::size_t i = 0; i < stream.size(); i += 64) {
+        const std::span<const EdgeUpdate> updates(
+            stream.data() + i, std::min<std::size_t>(64, stream.size() - i));
+        ASSERT_TRUE(serial->ApplyBatch(updates).ok());
+        ASSERT_TRUE(lanes->ApplyBatch(updates).ok());
+        const UpdateStats& a = serial->last_update_stats();
+        const UpdateStats& b = lanes->last_update_stats();
+        const std::string where = ConfigName(lanes_config) + " batch at " +
+                                  std::to_string(i);
+        EXPECT_EQ(a.sources_total, b.sources_total) << where;
+        EXPECT_EQ(a.sources_skipped, b.sources_skipped) << where;
+        EXPECT_EQ(a.sources_prefiltered, b.sources_prefiltered) << where;
+        EXPECT_EQ(a.sources_non_structural, b.sources_non_structural)
+            << where;
+        EXPECT_EQ(a.sources_structural, b.sources_structural) << where;
+        EXPECT_EQ(a.sources_disconnected, b.sources_disconnected) << where;
+      }
+      ExpectScoresNear(serial->scores(), lanes->scores(), kTol,
+                       "stats " + ConfigName(lanes_config));
+    }
+  }
+}
+
+TEST(ParallelApply, PrefilterKernelCountedOncePerUpdate) {
+  // Directed additions out of vertices nobody reaches: the only affected
+  // source is the tail itself, so the engine never batches and every
+  // MS-BFS batch is a prefilter endpoint fold. All lanes run that fold;
+  // it must count once per update, as on the serial framework.
+  Graph base(/*directed=*/true);
+  for (VertexId v = 10; v + 1 < 30; ++v) {
+    ASSERT_TRUE(base.AddEdge(v, v + 1).ok());
+  }
+  EdgeStream stream;
+  for (VertexId root = 0; root < 10; ++root) {
+    stream.push_back({root, static_cast<VertexId>(10 + 2 * root), EdgeOp::kAdd,
+                      0.0});
+  }
+  for (const int threads : {1, 4}) {
+    DynamicBcOptions options;
+    options.num_threads = threads;
+    auto bc = DynamicBc::Create(base, options);
+    ASSERT_TRUE(bc.ok());
+    ASSERT_TRUE((*bc)->ApplyBatch(stream).ok());
+    EXPECT_EQ((*bc)->last_update_stats().msbfs_batches, stream.size())
+        << threads << " lanes";
+  }
+}
+
 TEST(ParallelApply, MsBfsScratchIsReusedAcrossParallelDrains) {
-  // The MS-BFS scratch (per-worker engines + the prefilter's 2-lane
-  // fold) must stop allocating once the drains are warmed: lane slabs
+  // The MS-BFS scratch (every lane's engine and prefilter 2-lane fold)
+  // must stop allocating once the lanes are warmed: lane slabs
   // and frontier masks are sized to the vertex count, which this stream
   // never grows, so steady-state traversal has to reuse the same backing
   // memory. This is the same sharded path the TSAN job exercises — a
@@ -295,6 +469,30 @@ TEST(ParallelApply, MsBfsScratchIsReusedAcrossParallelDrains) {
       << "MS-BFS scratch allocated during steady-state drains";
   ExpectScoresNear(ComputeBrandes(replay), (*bc)->scores(), kTol,
                    "scratch reuse");
+
+  // The serving shape: 64-update batches, each lane walking the whole
+  // batch over its own replica. Neither the lanes' scratch nor their
+  // replicas' CsrViews may be rebuilt in steady state.
+  auto apply_batches = [&](std::size_t count) {
+    for (std::size_t b = 0; b < count; ++b) {
+      const EdgeStream batch = MixedUpdateStream(replay, 64, 0.4, &rng);
+      for (const EdgeUpdate& update : batch) {
+        ASSERT_TRUE(ApplyToGraph(&replay, update).ok());
+      }
+      ASSERT_TRUE((*bc)->ApplyBatch(batch).ok());
+    }
+  };
+  apply_batches(2);
+  const std::uint64_t batch_warmed = (*bc)->MsBfsScratchAllocations();
+  apply_batches(4);
+  EXPECT_EQ((*bc)->MsBfsScratchAllocations(), batch_warmed)
+      << "MS-BFS scratch allocated during steady-state batches";
+  for (std::size_t lane = 0; lane < 4; ++lane) {
+    EXPECT_LE((*bc)->lane_graph(lane).csr().stats().builds, 1u)
+        << "lane " << lane;
+  }
+  ExpectScoresNear(ComputeBrandes(replay), (*bc)->scores(), kTol,
+                   "scratch reuse, batched");
 }
 
 TEST(ParallelApply, VertexGrowthWithParallelDiskStore) {
