@@ -4,7 +4,8 @@
 //
 // As in the paper, one mapper serves ~1000 sources, and the comparison is
 // Brandes' single run time versus the *cumulative* execution time across
-// mappers (sum of mapper times + reduce).
+// mappers (sum of mapper times + reduce). Each mapper is one apply lane of
+// DynamicBc, timed on its thread's CPU clock (DESIGN.md substitution 3).
 //
 // Shape to look for: median speedup rises from the smallest synthetic size,
 // then drops again at the largest; removals track additions closely;
@@ -15,7 +16,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "parallel/mapreduce.h"
 
 namespace sobc {
 namespace {
@@ -26,10 +26,10 @@ int SourcesPerMapper() {
 
 int RunCase(const std::string& name, const Graph& graph, double brandes,
             const EdgeStream& stream, const char* panel) {
-  ParallelBcOptions options;
-  options.num_mappers = std::max<int>(
+  DynamicBcOptions options;
+  options.num_threads = std::max<int>(
       1, static_cast<int>(graph.NumVertices()) / SourcesPerMapper());
-  auto bc = ParallelDynamicBc::Create(graph, options);
+  auto bc = DynamicBc::Create(graph, options);
   if (!bc.ok()) {
     std::fprintf(stderr, "%s: %s\n", name.c_str(),
                  bc.status().ToString().c_str());
@@ -37,13 +37,12 @@ int RunCase(const std::string& name, const Graph& graph, double brandes,
   }
   std::vector<double> speedups;
   for (const EdgeUpdate& update : stream) {
-    ParallelUpdateTiming timing;
-    if (!(*bc)->Apply(update, &timing).ok()) return 1;
-    speedups.push_back(brandes / timing.CumulativeSeconds());
+    if (!(*bc)->Apply(update).ok()) return 1;
+    speedups.push_back(brandes / (*bc)->last_timing().CumulativeSeconds());
   }
   const Summary summary(speedups);
   std::printf("\n%s %s (p=%d mappers) speedup CDF (median %.0f):\n",
-              name.c_str(), panel, options.num_mappers, summary.Median());
+              name.c_str(), panel, options.num_threads, summary.Median());
   std::printf("%s", RenderCdf(summary, 9).c_str());
   return 0;
 }

@@ -4,18 +4,17 @@
 // a non-structural (addition) stream. Emits BENCH_parallel_apply.json so
 // the trajectory is tracked across commits (CI runs it on every push).
 //
-// Two wall-clock accountings are reported, as everywhere in this repo:
-//   measured — real threads on this machine's cores (DynamicBc with
-//              num_threads = w, fed kServeBatch-update ApplyBatch calls,
-//              the batch shape the serving layer's writer drains).
-//              Meaningful only when the machine actually has w cores;
-//              CI gates it only there.
-//   modeled  — the cluster accounting of DESIGN.md substitution 3
-//              (ParallelDynamicBc with w mappers on ONE pool thread:
-//              every chunk timed uncontended, wall = prefilter +
-//              slowest mapper + merge). This is the number Figures 6-8
-//              use, and the one comparable across heterogeneous CI
-//              machines; the speedup gate keys on it.
+// Two wall-clock accountings are reported, as everywhere in this repo, both
+// from the same runs (DynamicBc with num_threads = w, fed kServeBatch-update
+// ApplyBatch calls, the batch shape the serving layer's writer drains):
+//   measured — real threads on this machine's cores. Meaningful only when
+//              the machine actually has w cores; CI gates it only there.
+//   modeled  — the cluster accounting of DESIGN.md substitution 3: each
+//              lane is one of the paper's mappers, timed on its thread's
+//              CPU clock, and a batch's wall is its slowest lane plus the
+//              reduce (ParallelUpdateTiming::ModeledWallSeconds). This is
+//              the accounting Figures 6-8 use, and the one comparable
+//              across heterogeneous CI machines; CI gates it at 4 lanes.
 //
 // The report also carries the kernel-level MS-BFS number (`msbfs_speedup`):
 // one 64-lane bit-parallel batch vs the 64 per-source scalar sweeps it
@@ -44,20 +43,13 @@
 #include "gen/stream_generators.h"
 #include "graph/csr_view.h"
 #include "graph/msbfs.h"
-#include "parallel/mapreduce.h"
 
 namespace sobc {
 namespace {
 
-struct MeasuredRun {
+struct CurvePoint {
   int threads = 1;
-  double wall_seconds = 0.0;
-  double speedup = 1.0;
-};
-
-struct ModeledRun {
-  int workers = 1;
-  double modeled_wall_seconds = 0.0;
+  double seconds = 0.0;
   double speedup = 1.0;
 };
 
@@ -65,12 +57,18 @@ struct ModeledRun {
 /// typical coalesced batch (`sobc_cli serve --batch=64`).
 constexpr std::size_t kServeBatch = 64;
 
-/// Interleaved rounds of the measured curve; each point is their median.
+/// Interleaved rounds of both curves; each point is their median.
 constexpr int kMeasuredRounds = 5;
 
-double MeasuredApplySeconds(const Graph& graph, const EdgeStream& stream,
-                            int threads, bool prefilter,
-                            UpdateStats* totals = nullptr) {
+/// Wall seconds of one run, and the modeled cluster seconds the lanes'
+/// timings add up to over the same batches.
+struct ApplyRun {
+  double wall_seconds = 0.0;
+  double modeled_seconds = 0.0;
+};
+
+ApplyRun RunApply(const Graph& graph, const EdgeStream& stream, int threads,
+                  bool prefilter, UpdateStats* totals = nullptr) {
   DynamicBcOptions options;
   options.num_threads = threads;
   options.prefilter = prefilter;
@@ -80,6 +78,7 @@ double MeasuredApplySeconds(const Graph& graph, const EdgeStream& stream,
                  bc.status().ToString().c_str());
     std::exit(1);
   }
+  ApplyRun run;
   WallTimer timer;
   for (std::size_t i = 0; i < stream.size(); i += kServeBatch) {
     const std::span<const EdgeUpdate> batch(
@@ -88,9 +87,11 @@ double MeasuredApplySeconds(const Graph& graph, const EdgeStream& stream,
       std::fprintf(stderr, "apply failed: %s\n", st.ToString().c_str());
       std::exit(1);
     }
+    run.modeled_seconds += (*bc)->last_timing().ModeledWallSeconds();
     if (totals != nullptr) totals->Merge((*bc)->last_update_stats());
   }
-  return timer.Seconds();
+  run.wall_seconds = timer.Seconds();
+  return run;
 }
 
 /// One 64-lane MS-BFS batch vs the 64 per-source scalar sweeps it
@@ -166,32 +167,6 @@ MsBfsComparison CompareMsBfsToScalar(const Graph& graph, std::size_t rounds) {
   return result;
 }
 
-double ModeledApplySeconds(const Graph& graph, const EdgeStream& stream,
-                           int workers) {
-  ParallelBcOptions options;
-  options.num_mappers = workers;
-  // One pool thread: every chunk is timed uncontended, as if its mapper
-  // ran on a private machine (the fig7_scaling discipline).
-  options.num_threads = 1;
-  auto bc = ParallelDynamicBc::Create(graph, options);
-  if (!bc.ok()) {
-    std::fprintf(stderr, "parallel create failed: %s\n",
-                 bc.status().ToString().c_str());
-    std::exit(1);
-  }
-  double total = 0.0;
-  for (const EdgeUpdate& update : stream) {
-    ParallelUpdateTiming timing;
-    if (Status st = (*bc)->Apply(update, &timing); !st.ok()) {
-      std::fprintf(stderr, "parallel apply failed: %s\n",
-                   st.ToString().c_str());
-      std::exit(1);
-    }
-    total += timing.ModeledWallSeconds();
-  }
-  return total;
-}
-
 int Main() {
   const auto n =
       static_cast<std::size_t>(GetEnvInt("SOBC_PAR_VERTICES", 600));
@@ -221,43 +196,36 @@ int Main() {
   std::vector<int> thread_counts;
   for (int t = 1; t <= max_threads; t *= 2) thread_counts.push_back(t);
 
-  // Measured wall-clock curve (real threads, churn workload, 64-update
-  // batches): the median of kMeasuredRounds rounds, each round running
-  // every thread count once, so host noise and warm-up hit every point
-  // alike instead of skewing whichever ran first.
+  // Measured and modeled curves (churn workload, 64-update batches): each
+  // point is the median of kMeasuredRounds rounds, each round running every
+  // thread count once, so host noise and warm-up hit every point alike
+  // instead of skewing whichever ran first.
   std::vector<std::vector<double>> walls(thread_counts.size());
+  std::vector<std::vector<double>> models(thread_counts.size());
   for (int round = 0; round < kMeasuredRounds; ++round) {
     for (std::size_t i = 0; i < thread_counts.size(); ++i) {
-      walls[i].push_back(
-          MeasuredApplySeconds(graph, churn, thread_counts[i], true));
+      const ApplyRun run = RunApply(graph, churn, thread_counts[i], true);
+      walls[i].push_back(run.wall_seconds);
+      models[i].push_back(run.modeled_seconds);
     }
   }
-  std::vector<MeasuredRun> measured;
-  for (std::size_t i = 0; i < thread_counts.size(); ++i) {
-    MeasuredRun run;
-    run.threads = thread_counts[i];
-    run.wall_seconds = Summary(walls[i]).Median();
-    run.speedup = measured.empty()
-                      ? 1.0
-                      : measured.front().wall_seconds / run.wall_seconds;
-    std::printf("measured t=%d: %.3fs (%.2fx)\n", run.threads,
-                run.wall_seconds, run.speedup);
-    measured.push_back(run);
-  }
-
-  // Modeled cluster curve (uncontended per-chunk timing, churn workload).
-  std::vector<ModeledRun> modeled;
-  for (int w : thread_counts) {
-    ModeledRun run;
-    run.workers = w;
-    run.modeled_wall_seconds = ModeledApplySeconds(graph, churn, w);
-    run.speedup = modeled.empty() ? 1.0
-                                  : modeled.front().modeled_wall_seconds /
-                                        run.modeled_wall_seconds;
-    std::printf("modeled  w=%d: %.3fs (%.2fx)\n", w,
-                run.modeled_wall_seconds, run.speedup);
-    modeled.push_back(run);
-  }
+  auto curve = [&](const std::vector<std::vector<double>>& samples,
+                   const char* label) {
+    std::vector<CurvePoint> points;
+    for (std::size_t i = 0; i < thread_counts.size(); ++i) {
+      CurvePoint point;
+      point.threads = thread_counts[i];
+      point.seconds = Summary(samples[i]).Median();
+      point.speedup = points.empty() ? 1.0
+                                     : points.front().seconds / point.seconds;
+      std::printf("%s t=%d: %.3fs (%.2fx)\n", label, point.threads,
+                  point.seconds, point.speedup);
+      points.push_back(point);
+    }
+    return points;
+  };
+  const std::vector<CurvePoint> measured = curve(walls, "measured");
+  const std::vector<CurvePoint> modeled = curve(models, "modeled ");
 
   // Kernel-level MS-BFS win: one 64-lane batch vs 64 scalar sweeps.
   const auto msbfs_rounds =
@@ -271,9 +239,9 @@ int Main() {
   // Prefilter skip-rate and serial win on the non-structural stream.
   UpdateStats totals;
   const double serial_with =
-      MeasuredApplySeconds(graph, additions, 1, true, &totals);
+      RunApply(graph, additions, 1, true, &totals).wall_seconds;
   const double serial_without =
-      MeasuredApplySeconds(graph, additions, 1, false);
+      RunApply(graph, additions, 1, false).wall_seconds;
   const double skip_rate =
       totals.sources_total > 0
           ? static_cast<double>(totals.sources_prefiltered) /
@@ -288,11 +256,10 @@ int Main() {
 
   double speedup_4_measured = 0.0;
   double speedup_4_modeled = 0.0;
-  for (const MeasuredRun& run : measured) {
-    if (run.threads == 4) speedup_4_measured = run.speedup;
-  }
-  for (const ModeledRun& run : modeled) {
-    if (run.workers == 4) speedup_4_modeled = run.speedup;
+  for (std::size_t i = 0; i < thread_counts.size(); ++i) {
+    if (thread_counts[i] != 4) continue;
+    speedup_4_measured = measured[i].speedup;
+    speedup_4_modeled = modeled[i].speedup;
   }
 
   std::string json = "{\n";
@@ -313,7 +280,7 @@ int Main() {
     std::snprintf(buf, sizeof(buf),
                   "    {\"threads\": %d, \"wall_seconds\": %.6f, "
                   "\"speedup\": %.4f}%s\n",
-                  measured[i].threads, measured[i].wall_seconds,
+                  measured[i].threads, measured[i].seconds,
                   measured[i].speedup,
                   i + 1 < measured.size() ? "," : "");
     json += buf;
@@ -323,7 +290,7 @@ int Main() {
     std::snprintf(buf, sizeof(buf),
                   "    {\"workers\": %d, \"modeled_wall_seconds\": %.6f, "
                   "\"speedup\": %.4f}%s\n",
-                  modeled[i].workers, modeled[i].modeled_wall_seconds,
+                  modeled[i].threads, modeled[i].seconds,
                   modeled[i].speedup, i + 1 < modeled.size() ? "," : "");
     json += buf;
   }

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "parallel/mapreduce.h"
 #include "parallel/online_scheduler.h"
 
 namespace sobc {
@@ -30,20 +29,19 @@ struct OnlineCase {
   std::vector<int> mappers;
 };
 
-// Median modeled update time with p mappers, each timed uncontended
-// (num_threads=1) as if on its own machine.
+// Median modeled update time with p mappers: one apply lane each, every
+// lane timed on its thread's CPU clock as if on its own machine (DESIGN.md
+// substitution 3).
 double MedianUpdateSeconds(const Graph& graph, int p, Rng* rng) {
-  ParallelBcOptions options;
-  options.num_mappers = p;
-  options.num_threads = 1;
-  auto bc = ParallelDynamicBc::Create(graph, options);
+  DynamicBcOptions options;
+  options.num_threads = p;
+  auto bc = DynamicBc::Create(graph, options);
   if (!bc.ok()) return -1.0;
   EdgeStream probe = RandomAdditionStream(graph, 7, rng);
   std::vector<double> times;
   for (const EdgeUpdate& update : probe) {
-    ParallelUpdateTiming timing;
-    if (!(*bc)->Apply(update, &timing).ok()) return -1.0;
-    times.push_back(timing.ModeledWallSeconds());
+    if (!(*bc)->Apply(update).ok()) return -1.0;
+    times.push_back((*bc)->last_timing().ModeledWallSeconds());
   }
   return Summary(times).Median();
 }
@@ -75,10 +73,9 @@ int RunCase(const OnlineCase& c, Rng* rng) {
               "avg delay", "med update");
   std::vector<OnlineReplayResult> results;
   for (int p : c.mappers) {
-    ParallelBcOptions options;
-    options.num_mappers = p;
-    options.num_threads = 1;  // uncontended per-mapper timing
-    auto bc = ParallelDynamicBc::Create(g, options);
+    DynamicBcOptions options;
+    options.num_threads = p;
+    auto bc = DynamicBc::Create(g, options);
     if (!bc.ok()) return 1;
     auto replay = ReplayOnline(bc->get(), stream);
     if (!replay.ok()) return 1;

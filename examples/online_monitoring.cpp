@@ -1,7 +1,8 @@
 // Online monitoring: keep betweenness centrality fresh on an evolving
 // social graph whose edges arrive in real time (Sections 5.3-5.4 of the
-// paper). Demonstrates the parallel MapReduce-style executor, the online
-// replay harness, and the capacity model that sizes the cluster.
+// paper). Demonstrates the source-major apply lanes as the paper's
+// MapReduce mappers, the online replay harness, and the capacity model
+// that sizes the cluster.
 //
 // Run:  ./online_monitoring [vertices] [stream_edges]
 
@@ -9,11 +10,11 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "bc/dynamic_bc.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "gen/social_generator.h"
 #include "gen/stream_generators.h"
-#include "parallel/mapreduce.h"
 #include "parallel/online_scheduler.h"
 
 int main(int argc, char** argv) {
@@ -34,9 +35,9 @@ int main(int argc, char** argv) {
   sobc::StampArrivalTimes(&stream, {std::log(0.05), 1.5}, 0.0, &rng);
 
   for (const int mappers : {1, 4}) {
-    sobc::ParallelBcOptions options;
-    options.num_mappers = mappers;
-    auto bc = sobc::ParallelDynamicBc::Create(graph, options);
+    sobc::DynamicBcOptions options;
+    options.num_threads = mappers;  // one apply lane per mapper
+    auto bc = sobc::DynamicBc::Create(graph, options);
     if (!bc.ok()) {
       std::fprintf(stderr, "Create: %s\n", bc.status().ToString().c_str());
       return 1;

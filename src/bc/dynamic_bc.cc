@@ -10,6 +10,7 @@
 
 #include "bc/bd_store_disk.h"
 #include "bc/score_io.h"
+#include "common/timer.h"
 #include "graph/csr_view.h"
 #include "parallel/score_reduce.h"
 
@@ -17,7 +18,10 @@ namespace sobc {
 
 namespace {
 
-int ResolveThreads(int requested) {
+Result<int> ResolveThreads(int requested) {
+  if (requested < 0) {
+    return Status::InvalidArgument("num_threads must be >= 0 (0 = hardware)");
+  }
   if (requested > 0) return requested;
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
   return hw > 0 ? hw : 2;
@@ -49,6 +53,18 @@ MsBfsOptions MakeMsBfsOptions(const DynamicBcOptions& options) {
 
 }  // namespace
 
+double ParallelUpdateTiming::CumulativeSeconds() const {
+  double total = reduce_seconds;
+  for (const double s : lane_seconds) total += s;
+  return total;
+}
+
+double ParallelUpdateTiming::ModeledWallSeconds() const {
+  double slowest = 0.0;
+  for (const double s : lane_seconds) slowest = std::max(slowest, s);
+  return slowest + reduce_seconds;
+}
+
 void DynamicBc::InitLanes(PredMode pred_mode) {
   const auto w = static_cast<std::size_t>(options_.num_threads);
   const MsBfsOptions msbfs = MakeMsBfsOptions(options_);
@@ -68,6 +84,8 @@ Result<std::unique_ptr<DynamicBc>> DynamicBc::Create(
   const std::size_t n = graph.NumVertices();
   std::unique_ptr<BdStore> store;
   PredMode pred_mode = PredMode::kScanNeighbors;
+  const Result<int> threads = ResolveThreads(options.num_threads);
+  if (!threads.ok()) return threads.status();
   if (options.source_end != kInvalidVertex &&
       options.source_end < options.source_begin) {
     return Status::InvalidArgument("source_end precedes source_begin");
@@ -139,7 +157,7 @@ Result<std::unique_ptr<DynamicBc>> DynamicBc::Create(
     }
   }
   DynamicBcOptions resolved = options;
-  resolved.num_threads = ResolveThreads(options.num_threads);
+  resolved.num_threads = *threads;
   auto bc = std::unique_ptr<DynamicBc>(
       new DynamicBc(std::move(graph), std::move(store), resolved));
   if (approx != nullptr) {
@@ -194,6 +212,8 @@ Result<std::unique_ptr<DynamicBc>> DynamicBc::Resume(
   if (options.variant != BcVariant::kOutOfCore) {
     return Status::InvalidArgument("Resume requires the out-of-core variant");
   }
+  const Result<int> threads = ResolveThreads(options.num_threads);
+  if (!threads.ok()) return threads.status();
   auto disk = DiskBdStore::Open(options.storage_path, MakeDiskOptions(options));
   if (!disk.ok()) return disk.status();
   if ((*disk)->num_vertices() != graph.NumVertices()) {
@@ -236,7 +256,7 @@ Result<std::unique_ptr<DynamicBc>> DynamicBc::Resume(
     approx = std::move(*restored);
   }
   DynamicBcOptions resolved = options;
-  resolved.num_threads = ResolveThreads(options.num_threads);
+  resolved.num_threads = *threads;
   if (approx != nullptr) {
     const auto k = static_cast<VertexId>(approx->samples().size());
     if ((*disk)->source_begin() != 0 || (*disk)->source_limit() != k) {
@@ -355,6 +375,7 @@ Status DynamicBc::ApplyBatch(std::span<const EdgeUpdate> batch) {
   }
   if (scores_.vbc.size() < needed) scores_.vbc.resize(needed, 0.0);
   SOBC_RETURN_NOT_OK(PrepareLanes(graph_.NumVertices()));
+  last_timing_.lane_seconds.assign(lanes_.size(), 0.0);
   // Source-major: every lane walks the whole batch over its own share, so
   // the batch is the only synchronisation point.
   if (pool_ != nullptr) {
@@ -378,7 +399,7 @@ Status DynamicBc::ApplyBatch(std::span<const EdgeUpdate> batch) {
       failed = &lane;
     }
   }
-  TreeReduceScores(pool_.get(), partials);
+  last_timing_.reduce_seconds = TreeReduceScores(pool_.get(), partials);
   if (failed != nullptr) return failed->status;
   // A net-removed edge's ebc entry holds only floating-point residue.
   for (const EdgeUpdate& update : batch) {
@@ -467,6 +488,9 @@ void DynamicBc::RunLane(std::size_t i, std::span<const EdgeUpdate> batch,
                         std::size_t needed) {
   Lane& lane = lanes_[i];
   Graph& graph = i == 0 ? graph_ : *lane.replica;
+  // CPU time, not wall time: with more lanes than cores a lane's wall time
+  // includes waiting for a core, which a machine of its own would not.
+  const double start = ThreadCpuSeconds();
   lane.stats = UpdateStats{};
   lane.status = Status::OK();
   lane.failed_at = batch.size();
@@ -482,7 +506,7 @@ void DynamicBc::RunLane(std::size_t i, std::span<const EdgeUpdate> batch,
         lane.status = std::move(st);
         lane.failed_at = k;
       }
-      return;
+      break;
     }
     // After a store error the lane still steps its graph, keeping every
     // lane's graph equal to graph_.
@@ -492,6 +516,7 @@ void DynamicBc::RunLane(std::size_t i, std::span<const EdgeUpdate> batch,
       lane.failed_at = k;
     }
   }
+  last_timing_.lane_seconds[i] = ThreadCpuSeconds() - start;
 }
 
 Status DynamicBc::ApplyLaneUpdate(std::size_t i, const Graph& graph,

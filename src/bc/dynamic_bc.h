@@ -58,8 +58,10 @@ struct DynamicBcOptions {
   /// equal contiguous share of the sources and steps a private graph
   /// replica through every update of a batch; the lanes' score partials
   /// reduce once per batch. 1 keeps the loop on the calling thread; 0
-  /// resolves to the hardware concurrency. Results are identical to the
-  /// serial loop up to floating-point summation order.
+  /// resolves to the hardware concurrency; negative is InvalidArgument.
+  /// Lanes may outnumber cores: each lane's time is its own thread's CPU
+  /// time (last_timing()). Results are identical to the serial loop up to
+  /// floating-point summation order.
   int num_threads = 1;
   /// Skip unaffected sources via two endpoint BFS traversals before the
   /// source loop (Proposition 3.1 evaluated graph-side; see
@@ -106,6 +108,26 @@ struct DynamicBcOptions {
   std::string approx_restore_blob;
 };
 
+/// Timing of one Apply/ApplyBatch in the paper's cluster accounting
+/// (DESIGN.md substitution 3). Each lane is one of the paper's mappers:
+/// its seconds are the thread CPU time it spent stepping its graph,
+/// prefiltering and repairing its share of the batch, which is what the
+/// lane would take on a machine of its own however many lanes share this
+/// host's cores.
+///   cumulative   = sum over lanes + reduce — what Figure 6 compares
+///                  against single-machine Brandes;
+///   modeled wall = slowest lane + reduce — wall clock of a p-machine
+///                  cluster, which drives Figures 7-8 and Table 5.
+struct ParallelUpdateTiming {
+  std::vector<double> lane_seconds;
+  /// Critical path of the tree reduce that folds the lane partials, on the
+  /// same thread CPU clock (TreeReduceScores).
+  double reduce_seconds = 0.0;
+
+  double CumulativeSeconds() const;
+  double ModeledWallSeconds() const;
+};
+
 /// The full framework of Figure 1: Step 1 runs Brandes once to build BD[s]
 /// for every source; Step 2 applies stream updates one edge at a time,
 /// keeping vertex and edge betweenness exact after every update.
@@ -121,8 +143,10 @@ struct DynamicBcOptions {
 /// batch in parallel (per update: prefilter over the lane's share, then the
 /// engine over its dirty sources), and the lane partials are reduced once
 /// when the batch ends. The batch, not the update, is the unit of
-/// synchronisation. The caller-facing contract is unchanged and all public
-/// methods must still be called from one thread at a time.
+/// synchronisation. Each lane is one mapper of the paper's MapReduce
+/// embodiment (Section 5, Fig. 4); last_timing() reports them per lane.
+/// The caller-facing contract is unchanged and all public methods must
+/// still be called from one thread at a time.
 class DynamicBc {
  public:
   /// Builds the framework over `graph` (Step 1, O(nm)).
@@ -180,6 +204,9 @@ class DynamicBc {
 
   /// Apply lanes in use (1 when serial).
   int num_threads() const { return static_cast<int>(lanes_.size()); }
+
+  /// Per-lane and reduce timing of the most recent Apply/ApplyBatch.
+  const ParallelUpdateTiming& last_timing() const { return last_timing_; }
 
   /// The graph lane `i` traverses: graph() for lane 0, the lane's private
   /// replica otherwise. Test hook for the replica contract — every replica
@@ -275,7 +302,7 @@ class DynamicBc {
   /// stale.
   Status PrepareLanes(std::size_t n);
   /// Steps lane `i` through the batch, its partial zeroed to `needed`
-  /// vertices first; records the lane's first failure.
+  /// vertices first; records the lane's first failure and its CPU seconds.
   void RunLane(std::size_t i, std::span<const EdgeUpdate> batch,
                std::size_t needed);
   /// One update's prefilter and engine pass over lane `i`'s share; `graph`
@@ -285,6 +312,7 @@ class DynamicBc {
 
   DynamicBcOptions options_;
   Graph graph_;
+  ParallelUpdateTiming last_timing_;
   /// Sample bookkeeping + drift ledger of the approx mode; null when
   /// exact. Declared before store_: the sampled store adapter holds a
   /// pointer into the SampleSet, so the set must outlive it.

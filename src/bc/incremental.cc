@@ -676,26 +676,6 @@ Status IncrementalEngine::ApplyUpdateForSource(const Graph& graph,
   return RunForSource(GraphAdjacency(graph), update, s, store, scores, stats);
 }
 
-Status IncrementalEngine::ApplyUpdateRange(const Graph& graph,
-                                           const EdgeUpdate& update,
-                                           VertexId begin, VertexId end,
-                                           BdStore* store, BcScores* scores,
-                                           UpdateStats* stats) {
-  // Materialize the range once so it flows through the same batched span
-  // driver the worklist path uses (the scratch vector is reused across
-  // updates).
-  range_sources_.clear();
-  range_sources_.reserve(end > begin ? end - begin : 0);
-  for (VertexId s = begin; s < end; ++s) range_sources_.push_back(s);
-  // Dispatch on the adjacency provider once per range, not per source.
-  if (use_csr_) {
-    return RunForSourceSpan(graph.csr(), update, range_sources_, store,
-                            scores, stats);
-  }
-  return RunForSourceSpan(GraphAdjacency(graph), update, range_sources_,
-                          store, scores, stats);
-}
-
 Status IncrementalEngine::ApplyUpdateForSources(
     const Graph& graph, const EdgeUpdate& update,
     std::span<const VertexId> sources, BdStore* store, BcScores* scores,
@@ -705,14 +685,6 @@ Status IncrementalEngine::ApplyUpdateForSources(
                             stats);
   }
   return RunForSourceSpan(GraphAdjacency(graph), update, sources, store,
-                          scores, stats);
-}
-
-Status IncrementalEngine::ApplyUpdate(const Graph& graph,
-                                      const EdgeUpdate& update, BdStore* store,
-                                      BcScores* scores, UpdateStats* stats) {
-  return ApplyUpdateRange(graph, update, 0,
-                          static_cast<VertexId>(graph.NumVertices()), store,
                           scores, stats);
 }
 

@@ -78,24 +78,13 @@ class IncrementalEngine {
                              bool use_csr = true)
       : pred_mode_(pred_mode), use_csr_(use_csr) {}
 
-  /// Processes every source for one update. `graph` must already include
+  /// Processes the sources of `sources` for one update — the unit one
+  /// apply lane (one of the paper's mappers) processes per update: its
+  /// share of the prefiltered dirty sources. `graph` must already include
   /// (addition) or exclude (removal) the updated edge; for removals the old
   /// edge's endpoints come from `update`. Score deltas are accumulated into
-  /// `scores` (which may hold partition partials) and BD patches are
+  /// `scores` (which may hold the lane's partial sums) and BD patches are
   /// applied to `store`.
-  Status ApplyUpdate(const Graph& graph, const EdgeUpdate& update,
-                     BdStore* store, BcScores* scores, UpdateStats* stats);
-
-  /// Same, restricted to sources in [begin, end): the unit of work of one
-  /// mapper in the paper's static-partition embodiment (Section 5.2).
-  Status ApplyUpdateRange(const Graph& graph, const EdgeUpdate& update,
-                          VertexId begin, VertexId end, BdStore* store,
-                          BcScores* scores, UpdateStats* stats);
-
-  /// Same, restricted to an explicit source worklist — the unit one apply
-  /// lane processes per update (its share of the prefiltered dirty
-  /// sources), or one SourceSharder chunk in ParallelDynamicBc. `scores`
-  /// may hold a lane's partial sums, exactly like a mapper partition's.
   Status ApplyUpdateForSources(const Graph& graph, const EdgeUpdate& update,
                                std::span<const VertexId> sources,
                                BdStore* store, BcScores* scores,
@@ -233,7 +222,6 @@ class IncrementalEngine {
   std::vector<DeferredSource> deferred_;
   std::vector<VertexId> batch_sources_;
   std::vector<Distance*> batch_dist_;
-  std::vector<VertexId> range_sources_;
 
   /// Per-vertex overlay record for touched vertices, packed so one Touch
   /// (and every EffD/EffSigma read of a touched vertex) costs one cache

@@ -1,6 +1,8 @@
 #ifndef SOBC_COMMON_TIMER_H_
 #define SOBC_COMMON_TIMER_H_
 
+#include <time.h>
+
 #include <chrono>
 #include <cstdint>
 
@@ -29,6 +31,16 @@ class WallTimer {
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
 };
+
+/// CPU seconds consumed so far by the calling thread. Differences of two
+/// reads time work on one thread independently of how many other threads
+/// share the cores.
+inline double ThreadCpuSeconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
 
 }  // namespace sobc
 

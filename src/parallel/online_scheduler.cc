@@ -50,7 +50,7 @@ OnlineReplayResult SimulateQueue(const std::vector<double>& arrivals,
   return result;
 }
 
-Result<OnlineReplayResult> ReplayOnline(ParallelDynamicBc* bc,
+Result<OnlineReplayResult> ReplayOnline(DynamicBc* bc,
                                         const EdgeStream& stream) {
   std::vector<double> arrivals;
   std::vector<double> processing;
@@ -63,10 +63,9 @@ Result<OnlineReplayResult> ReplayOnline(ParallelDynamicBc* bc,
           "stream timestamps must be non-decreasing");
     }
     prev = update.timestamp;
-    ParallelUpdateTiming timing;
-    SOBC_RETURN_NOT_OK(bc->Apply(update, &timing));
+    SOBC_RETURN_NOT_OK(bc->Apply(update));
     arrivals.push_back(update.timestamp);
-    processing.push_back(timing.ModeledWallSeconds());
+    processing.push_back(bc->last_timing().ModeledWallSeconds());
   }
   return SimulateQueue(arrivals, processing);
 }

@@ -4,9 +4,9 @@
 #include <cstddef>
 #include <vector>
 
+#include "bc/dynamic_bc.h"
 #include "common/status.h"
 #include "graph/edge_stream.h"
-#include "parallel/mapreduce.h"
 
 namespace sobc {
 
@@ -21,7 +21,8 @@ struct OnlineReplayResult {
   std::size_t missed = 0;
   double missed_fraction = 0.0;
   double avg_delay_seconds = 0.0;  // mean lateness over missed updates
-  /// Per-update processing time (modeled p-machine wall clock).
+  /// Per-update processing time (modeled p-machine wall clock, one mapper
+  /// per apply lane).
   std::vector<double> update_seconds;
   /// Per-update inter-arrival gap to the next update (one shorter).
   std::vector<double> inter_arrival_seconds;
@@ -50,10 +51,12 @@ class DeadlineAccounting {
   OnlineReplayResult acc_;
 };
 
-/// Replays `stream` through `bc`, timing each update and queueing work like
-/// the deployed system would: an update cannot start before the previous
-/// one finished. Stream timestamps must be non-decreasing.
-Result<OnlineReplayResult> ReplayOnline(ParallelDynamicBc* bc,
+/// Replays `stream` through `bc` one update at a time, charging each update
+/// its modeled cluster wall clock (ParallelUpdateTiming, one machine per
+/// apply lane) and queueing work like the deployed system would: an update
+/// cannot start before the previous one finished. Stream timestamps must be
+/// non-decreasing.
+Result<OnlineReplayResult> ReplayOnline(DynamicBc* bc,
                                         const EdgeStream& stream);
 
 /// Computes the miss/delay accounting alone from known per-update

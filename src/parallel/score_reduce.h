@@ -16,7 +16,12 @@ namespace sobc {
 /// so the drain's reduce step stops being the serial tail Amdahl charges
 /// against every added worker. With a null pool the fold degrades to the
 /// serial loop.
-void TreeReduceScores(ThreadPool* pool, std::span<BcScores*> partials);
+///
+/// Returns the fold's critical path in thread CPU seconds: per round, the
+/// slowest merge (the whole fold when it runs serially). That is the
+/// reduce's wall clock on a cluster with a reducer per pair, however many
+/// pool threads share this host's cores (DESIGN.md substitution 3).
+double TreeReduceScores(ThreadPool* pool, std::span<BcScores*> partials);
 
 }  // namespace sobc
 

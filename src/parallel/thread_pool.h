@@ -14,8 +14,7 @@ namespace sobc {
 /// Fixed-size worker pool. Tasks are opaque closures; Wait() blocks until
 /// the queue drains and every in-flight task finishes. Each framework keeps
 /// one pool for its lifetime: DynamicBc submits one task per apply lane per
-/// batch (DESIGN.md §9), ParallelDynamicBc one per mapper chunk per
-/// update.
+/// batch (DESIGN.md §9), plus the merges of each tree-reduce round.
 class ThreadPool {
  public:
   explicit ThreadPool(std::size_t num_threads);

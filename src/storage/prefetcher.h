@@ -34,9 +34,8 @@ struct PrefetchStats {
 /// thread.
 ///
 /// Pacing comes from the hint sites, not from this class: each DynamicBc
-/// apply lane hints its next slab before computing the current one, and
-/// ParallelDynamicBc's worker claiming chunk k hints chunk k + lookahead
-/// (SourceSharder::ChunkSources) — double-buffering in both cases.
+/// apply lane hints its next slab before computing the current one —
+/// double-buffering.
 ///
 /// Quiesce() empties the queue and blocks until the thread is idle; the
 /// store calls it before Grow (the epoch array is resized) and before

@@ -1,16 +1,17 @@
 // Framework-level API tests: persistence (checkpoint/resume), score files,
-// the approximate estimator, and the top-k utilities.
+// option validation, the sampled estimator at zero updates, and the top-k
+// utilities.
 
 #include "bc/dynamic_bc.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
 
 #include "analysis/top_k.h"
-#include "bc/approx_brandes.h"
 #include "bc/brandes.h"
 #include "bc/score_io.h"
 #include "common/rng.h"
@@ -164,27 +165,61 @@ TEST_F(PersistenceTest, CheckpointOnMemoryVariantFailsCleanly) {
 }
 
 // ---------------------------------------------------------------------------
-// Approximate estimator
+// Option validation
 // ---------------------------------------------------------------------------
 
-TEST(ApproxBrandesTest, FullSampleIsExact) {
-  Rng rng(75);
-  Graph g = RandomConnectedGraph(25, 30, &rng);
-  ApproxBrandesOptions options;
-  options.num_sources = 25;  // == n
-  const BcScores approx = ComputeApproxBrandes(g, options, &rng);
-  ExpectScoresNear(ComputeBrandes(g), approx, kTol, "full sample");
+TEST(DynamicBcOptionsTest, RejectsNegativeThreads) {
+  Graph g;
+  ASSERT_TRUE(g.AddEdge(0, 1).ok());
+  DynamicBcOptions options;
+  options.num_threads = -2;
+  EXPECT_EQ(DynamicBc::Create(g, options).status().code(),
+            StatusCode::kInvalidArgument);
+  options.variant = BcVariant::kOutOfCore;
+  options.storage_path = ::testing::TempDir() + "/sobc_negative_threads.bd";
+  EXPECT_EQ(DynamicBc::Resume(g, options, options.storage_path + ".scores")
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  options.num_threads = 0;  // hardware concurrency
+  auto bc = DynamicBc::Create(g, options);
+  ASSERT_TRUE(bc.ok()) << bc.status().ToString();
+  EXPECT_GE((*bc)->num_threads(), 1);
+  bc->reset();
+  std::remove(options.storage_path.c_str());
 }
 
-TEST(ApproxBrandesTest, EstimateTracksExactRanking) {
+// ---------------------------------------------------------------------------
+// Sampled estimator before any update: Step 1 over k seeded sources,
+// published n/k-scaled (DESIGN.md §15)
+// ---------------------------------------------------------------------------
+
+BcScores SampledEstimate(const Graph& g, std::size_t k, std::uint64_t seed) {
+  DynamicBcOptions options;
+  options.approx_samples = k;
+  options.approx_seed = seed;
+  auto bc = DynamicBc::Create(g, options);
+  EXPECT_TRUE(bc.ok()) << bc.status().ToString();
+  return bc.ok() ? (*bc)->EstimatedScores() : BcScores{};
+}
+
+// k = n samples every source with scale 1. Step 1 sweeps them in slot
+// order with the per-source kernel, so sums match the batched Brandes
+// sweep up to summation order (last-bit differences), not bit for bit.
+TEST(SampledEstimateTest, FullSampleIsExact) {
+  Rng rng(75);
+  Graph g = RandomConnectedGraph(25, 30, &rng);
+  ExpectScoresNear(ComputeBrandes(g), SampledEstimate(g, 25, 75), kTol,
+                   "full sample");
+}
+
+TEST(SampledEstimateTest, EstimateTracksExactRanking) {
   Rng rng(76);
   SocialGraphParams params;
   params.edges_per_vertex = 4;
   Graph g = GenerateSocialGraph(300, params, &rng);
   const BcScores exact = ComputeBrandes(g);
-  ApproxBrandesOptions options;
-  options.num_sources = 100;
-  const BcScores approx = ComputeApproxBrandes(g, options, &rng);
+  const BcScores approx = SampledEstimate(g, 100, 76);
   // A third of the sources recovers most of the top-10 leaderboard.
   EXPECT_GT(TopKOverlap(exact.vbc, approx.vbc, 10), 0.4);
   // Total mass is preserved in expectation; allow generous slack.
@@ -195,17 +230,14 @@ TEST(ApproxBrandesTest, EstimateTracksExactRanking) {
   EXPECT_NEAR(approx_total / exact_total, 1.0, 0.25);
 }
 
-TEST(ApproxBrandesTest, MoreSourcesReduceError) {
+TEST(SampledEstimateTest, MoreSourcesReduceError) {
   Rng rng(77);
   SocialGraphParams params;
   params.edges_per_vertex = 4;
   Graph g = GenerateSocialGraph(200, params, &rng);
   const BcScores exact = ComputeBrandes(g);
   auto mean_abs_error = [&](std::size_t k) {
-    ApproxBrandesOptions options;
-    options.num_sources = k;
-    Rng local(123);  // shared seed: paired comparison
-    const BcScores approx = ComputeApproxBrandes(g, options, &local);
+    const BcScores approx = SampledEstimate(g, k, 123);
     double err = 0.0;
     for (std::size_t v = 0; v < exact.vbc.size(); ++v) {
       err += std::abs(exact.vbc[v] - approx.vbc[v]);
@@ -215,15 +247,19 @@ TEST(ApproxBrandesTest, MoreSourcesReduceError) {
   EXPECT_LT(mean_abs_error(150), mean_abs_error(15));
 }
 
-TEST(ApproxBrandesTest, HandlesEmptyAndTinyGraphs) {
-  Rng rng(78);
-  Graph empty;
-  ApproxBrandesOptions options;
-  EXPECT_TRUE(ComputeApproxBrandes(empty, options, &rng).vbc.empty());
+TEST(SampledEstimateTest, RejectsEmptyAndHandlesTinyGraphs) {
+  // No source to sample from: the approx mode refuses by design.
+  DynamicBcOptions options;
+  options.approx_samples = 4;
+  EXPECT_EQ(DynamicBc::Create(Graph{}, options).status().code(),
+            StatusCode::kInvalidArgument);
+  // k above n clamps to every source.
   Graph tiny;
   ASSERT_TRUE(tiny.AddEdge(0, 1).ok());
-  const BcScores scores = ComputeApproxBrandes(tiny, options, &rng);
-  EXPECT_EQ(scores.vbc.size(), 2u);
+  auto bc = DynamicBc::Create(tiny, options);
+  ASSERT_TRUE(bc.ok()) << bc.status().ToString();
+  EXPECT_EQ((*bc)->sample_sources().size(), 2u);
+  EXPECT_EQ((*bc)->EstimatedScores().vbc.size(), 2u);
 }
 
 // ---------------------------------------------------------------------------

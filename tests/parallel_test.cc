@@ -1,11 +1,15 @@
-#include "parallel/mapreduce.h"
+// The paper's MapReduce embodiment (Section 5, Fig. 4) realized as the
+// source-major apply lanes of DynamicBc: lane counts from 1 to more lanes
+// than vertices against the serial framework, the per-lane cluster timing
+// record, and the online replay harness that consumes it.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <memory>
 #include <cmath>
-#include <numeric>
+#include <cstdio>
+#include <memory>
+#include <span>
 #include <string>
 
 #include "bc/brandes.h"
@@ -92,14 +96,14 @@ TEST(PartitionedStoreTest, OpenEndedPartitionAdoptsNewSources) {
 
 TEST(TimingTest, CumulativeAndWall) {
   ParallelUpdateTiming timing;
-  timing.mapper_seconds = {0.5, 2.0, 1.0};
-  timing.merge_seconds = 0.25;
+  timing.lane_seconds = {0.5, 2.0, 1.0};
+  timing.reduce_seconds = 0.25;
   EXPECT_DOUBLE_EQ(timing.CumulativeSeconds(), 3.75);
   EXPECT_DOUBLE_EQ(timing.ModeledWallSeconds(), 2.25);
 }
 
 struct ParallelCase {
-  int mappers;
+  int lanes;
   BcVariant variant;
   const char* name;
 };
@@ -113,31 +117,34 @@ TEST_P(ParallelEquivalenceTest, MatchesSequentialFramework) {
   Graph g = RandomConnectedGraph(30, 40, &rng);
   EdgeStream stream = MixedUpdateStream(g, 15, 0.4, &rng);
 
-  ParallelBcOptions options;
-  options.num_mappers = param.mappers;
+  DynamicBcOptions options;
+  options.num_threads = param.lanes;
   options.variant = param.variant;
-  options.num_threads = 2;
+  std::string store_path;
   if (param.variant == BcVariant::kOutOfCore) {
-    options.storage_dir = ::testing::TempDir();
+    store_path = ::testing::TempDir() + "/sobc_parallel_" + param.name + ".bd";
+    options.storage_path = store_path;
   }
-  auto parallel = ParallelDynamicBc::Create(g, options);
+  auto parallel = DynamicBc::Create(g, options);
   ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+  ASSERT_EQ((*parallel)->num_threads(), param.lanes);
   auto sequential = DynamicBc::Create(g, DynamicBcOptions{});
   ASSERT_TRUE(sequential.ok());
 
   ExpectScoresNear((*sequential)->scores(), (*parallel)->scores(), kTol,
                    std::string(param.name) + " after init");
   for (const EdgeUpdate& update : stream) {
-    ParallelUpdateTiming timing;
-    ASSERT_TRUE((*parallel)->Apply(update, &timing).ok());
+    ASSERT_TRUE((*parallel)->Apply(update).ok());
     ASSERT_TRUE((*sequential)->Apply(update).ok());
-    EXPECT_EQ(timing.mapper_seconds.size(),
-              static_cast<std::size_t>(param.mappers));
+    EXPECT_EQ((*parallel)->last_timing().lane_seconds.size(),
+              static_cast<std::size_t>(param.lanes));
   }
   ExpectScoresNear((*sequential)->scores(), (*parallel)->scores(), kTol,
                    std::string(param.name) + " after stream");
   const UpdateStats stats = (*parallel)->last_update_stats();
   EXPECT_EQ(stats.sources_total, (*parallel)->graph().NumVertices());
+  parallel->reset();
+  if (!store_path.empty()) std::remove(store_path.c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -151,13 +158,12 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.name);
     });
 
-TEST(ParallelDynamicBcTest, NewVertexGrowsAllPartitions) {
+TEST(LaneTest, NewVertexGrowsAllPartitions) {
   Rng rng(7);
   Graph g = RandomConnectedGraph(12, 8, &rng);
-  ParallelBcOptions options;
-  options.num_mappers = 3;
-  options.num_threads = 2;
-  auto parallel = ParallelDynamicBc::Create(g, options);
+  DynamicBcOptions options;
+  options.num_threads = 3;
+  auto parallel = DynamicBc::Create(g, options);
   ASSERT_TRUE(parallel.ok());
   ASSERT_TRUE((*parallel)->Apply({2, 15, EdgeOp::kAdd}).ok());
   EXPECT_EQ((*parallel)->graph().NumVertices(), 16u);
@@ -165,15 +171,33 @@ TEST(ParallelDynamicBcTest, NewVertexGrowsAllPartitions) {
   ExpectScoresNear(expected, (*parallel)->scores(), kTol, "growth");
 }
 
-TEST(ParallelDynamicBcTest, RejectsBadOptions) {
-  Graph g;
-  ASSERT_TRUE(g.AddEdge(0, 1).ok());
-  ParallelBcOptions options;
-  options.num_mappers = 0;
-  EXPECT_FALSE(ParallelDynamicBc::Create(g, options).ok());
-  options.num_mappers = 2;
-  options.variant = BcVariant::kOutOfCore;  // no storage_dir
-  EXPECT_FALSE(ParallelDynamicBc::Create(g, options).ok());
+// The cluster model reads one CPU time per lane, for one-update Apply and
+// multi-update ApplyBatch alike; the slowest lane can never exceed the sum.
+TEST(LaneTest, TimingCoversEveryLane) {
+  Rng rng(9);
+  Graph g = RandomConnectedGraph(40, 50, &rng);
+  const EdgeStream stream = MixedUpdateStream(g, 20, 0.4, &rng);
+  DynamicBcOptions options;
+  options.num_threads = 3;
+  auto bc = DynamicBc::Create(g, options);
+  ASSERT_TRUE(bc.ok());
+  auto expect_lanes_timed = [&](const char* what) {
+    const ParallelUpdateTiming& timing = (*bc)->last_timing();
+    EXPECT_EQ(timing.lane_seconds.size(),
+              static_cast<std::size_t>((*bc)->num_threads()))
+        << what;
+    // Every lane at least patches its graph and prefilters.
+    for (const double s : timing.lane_seconds) EXPECT_GT(s, 0.0) << what;
+    EXPECT_GE(timing.reduce_seconds, 0.0) << what;
+    EXPECT_GT(timing.CumulativeSeconds(), 0.0) << what;
+    EXPECT_LE(timing.ModeledWallSeconds(), timing.CumulativeSeconds())
+        << what;
+  };
+  ASSERT_TRUE((*bc)->Apply(stream.front()).ok());
+  expect_lanes_timed("Apply");
+  ASSERT_TRUE(
+      (*bc)->ApplyBatch(std::span<const EdgeUpdate>(stream).subspan(1)).ok());
+  expect_lanes_timed("ApplyBatch");
 }
 
 // ---------------------------------------------------------------------------
@@ -234,10 +258,9 @@ TEST(OnlineSchedulerTest, ReplayOnlineEndToEnd) {
   EdgeStream stream = RandomAdditionStream(g, 8, &rng);
   StampArrivalTimes(&stream, {std::log(10.0), 0.5}, 0.0, &rng);
 
-  ParallelBcOptions options;
-  options.num_mappers = 2;
+  DynamicBcOptions options;
   options.num_threads = 2;
-  auto bc = ParallelDynamicBc::Create(g, options);
+  auto bc = DynamicBc::Create(g, options);
   ASSERT_TRUE(bc.ok());
   auto result = ReplayOnline(bc->get(), stream);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -255,10 +278,7 @@ TEST(OnlineSchedulerTest, ReplayRejectsUnsortedTimestamps) {
   ASSERT_EQ(stream.size(), 2u);
   stream[0].timestamp = 5.0;
   stream[1].timestamp = 1.0;
-  ParallelBcOptions options;
-  options.num_mappers = 1;
-  options.num_threads = 1;
-  auto bc = ParallelDynamicBc::Create(g, options);
+  auto bc = DynamicBc::Create(g, DynamicBcOptions{});
   ASSERT_TRUE(bc.ok());
   EXPECT_FALSE(ReplayOnline(bc->get(), stream).ok());
 }

@@ -36,9 +36,10 @@ std::vector<BcScores*> Pointers(std::vector<BcScores>* partials) {
 
 TEST(ScoreReduceTest, ZeroPartialsIsANoOp) {
   std::vector<BcScores*> empty;
-  TreeReduceScores(nullptr, empty);  // must not crash or dereference
+  // Must not crash or dereference; no merge means no critical path.
+  EXPECT_EQ(TreeReduceScores(nullptr, empty), 0.0);
   ThreadPool pool(2);
-  TreeReduceScores(&pool, empty);
+  EXPECT_EQ(TreeReduceScores(&pool, empty), 0.0);
   EXPECT_TRUE(empty.empty());
 }
 
@@ -107,12 +108,12 @@ TEST(ScoreReduceTest, PooledTreeMatchesSerialFold) {
   };
   std::vector<BcScores> serial = build();
   auto serial_ptrs = Pointers(&serial);
-  TreeReduceScores(nullptr, serial_ptrs);
+  EXPECT_GE(TreeReduceScores(nullptr, serial_ptrs), 0.0);
 
   std::vector<BcScores> pooled = build();
   auto pooled_ptrs = Pointers(&pooled);
   ThreadPool pool(4);
-  TreeReduceScores(&pool, pooled_ptrs);
+  EXPECT_GE(TreeReduceScores(&pool, pooled_ptrs), 0.0);
 
   ASSERT_EQ(serial[0].vbc.size(), pooled[0].vbc.size());
   for (std::size_t v = 0; v < serial[0].vbc.size(); ++v) {

@@ -13,9 +13,10 @@
 //       "- u v t" lines; see WriteEdgeStream), printing per-update stats
 //       (including the prefilter skip-rate and the MS-BFS kernel report)
 //       and the final top-K elements.
-//       --threads fans each update's source loop across T workers
-//       (0 = hardware concurrency). The storage flags tune the DO engine:
-//       record codec, shared hot-record cache budget, async prefetch.
+//       --threads splits the sources into T apply lanes, each walking
+//       every batch over its own share (0 = hardware concurrency). The
+//       storage flags tune the DO engine: record codec, shared hot-record
+//       cache budget, async prefetch.
 //       --no-msbfs pins every traversal to the per-source scalar BFS;
 //       --do-switch-threshold=A tunes the direction-optimizing alpha
 //       (<= 0 pins the kernel top-down). --approx=K runs the sampled
@@ -195,6 +196,10 @@ struct CliArgs {
   bool await_migration = false; // shard: start empty, wait for the image
 };
 
+/// Upper bound on --threads. Every apply lane holds a graph replica, so a
+/// typo such as --threads=40000 would exhaust memory before doing any work.
+constexpr int kMaxThreads = 1024;
+
 bool ParseArgs(int argc, char** argv, CliArgs* args) {
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -207,7 +212,13 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
     } else if (arg.rfind("--out=", 0) == 0) {
       args->out_path = arg.substr(6);
     } else if (arg.rfind("--top=", 0) == 0) {
-      args->top = std::strtoul(arg.c_str() + 6, nullptr, 10);
+      auto value = ParseUint64(arg.substr(6));
+      if (!value.ok()) {
+        std::fprintf(stderr, "--top: expected a non-negative count: %s\n",
+                     value.status().ToString().c_str());
+        return false;
+      }
+      args->top = static_cast<std::size_t>(*value);
     } else if (arg.rfind("--seed=", 0) == 0) {
       args->seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
     } else if (arg.rfind("--stream=", 0) == 0) {
@@ -240,8 +251,17 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
     } else if (arg.rfind("--queue-cap=", 0) == 0) {
       args->queue_cap = std::strtoul(arg.c_str() + 12, nullptr, 10);
     } else if (arg.rfind("--threads=", 0) == 0) {
-      args->threads =
-          static_cast<int>(std::strtol(arg.c_str() + 10, nullptr, 10));
+      auto value = ParseUint64(arg.substr(10));
+      if (!value.ok() || *value > kMaxThreads) {
+        std::fprintf(stderr,
+                     "--threads: expected a thread count in [0, %d] "
+                     "(0 = hardware): %s\n",
+                     kMaxThreads,
+                     value.ok() ? arg.substr(10).c_str()
+                                : value.status().ToString().c_str());
+        return false;
+      }
+      args->threads = static_cast<int>(*value);
     } else if (arg == "--no-prefilter") {
       args->prefilter = false;
     } else if (arg == "--msbfs") {
