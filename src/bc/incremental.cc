@@ -208,17 +208,18 @@ void IncrementalEngine::RepairDistancesRemoval(const Adj& adj,
 }
 
 // ---------------------------------------------------------------------------
-// Batched seeding (DESIGN.md §14): a MS-BFS batch already computed this
-// source's final post-update distances, so instead of discovering the moved
-// region through per-source relaxation the repair queues are seeded with
-// final levels directly. RepairSigmas' relax conditions compare neighbor
-// distances one level apart; against final BFS distances the triangle
-// inequality makes them unsatisfiable, so the sweep degenerates to the pure
-// sigma recount — same pops, same integer results, same touched set.
+// Batched seeding (DESIGN.md §14): for a structural addition, a MS-BFS
+// batch already computed this source's final post-update distances, so
+// instead of discovering the moved region through per-source relaxation
+// the repair queues are seeded with final levels directly. RepairSigmas'
+// relax conditions compare neighbor distances one level apart; against
+// final BFS distances the triangle inequality makes them unsatisfiable, so
+// the sweep degenerates to the pure sigma recount — same pops, same
+// integer results, same touched set.
 // ---------------------------------------------------------------------------
 
-// Addition: the moved set is exactly {v : d_new(v) != d_old(v)} (additions
-// only shrink distances). A flat two-column compare over the distance
+// The moved set is exactly {v : d_new(v) != d_old(v)} (additions only
+// shrink distances). A flat two-column compare over the distance
 // arrays — branch-light and auto-vectorizable — replaces the relax-BFS.
 void IncrementalEngine::SeedMovedFromDistances(const SourceContext& cx,
                                                std::size_t n,
@@ -235,21 +236,6 @@ void IncrementalEngine::SeedMovedFromDistances(const SourceContext& cx,
     overlay_[v].d = new_d[v];
     moved_list_.push_back(v);
     PushRepair(v, new_d[v]);
-  }
-}
-
-// Removal: the moved set is the orphan set ClassifyOrphans already found
-// (a vertex's distance grows iff it lost every old shortest path); give
-// each orphan its final distance — kUnreachable ones are the split-off
-// component, settled by RepairSigmas' pending sweep exactly as before.
-void IncrementalEngine::SeedOrphansFromDistances(const SourceContext& cx,
-                                                 const Distance* new_d) {
-  for (const VertexId v : moved_list_) {
-    Touch(cx, v, kPending);
-    overlay_[v].d = new_d[v];
-    overlay_[v].sigma = 0;
-    overlay_[v].delta = 0.0;
-    if (new_d[v] != kUnreachable) PushRepair(v, new_d[v]);
   }
 }
 
@@ -572,11 +558,7 @@ Status IncrementalEngine::RunForSource(const Adj& adj,
   } else {
     ++stats->sources_structural;
     ClassifyOrphans(adj, cx);
-    if (new_d != nullptr) {
-      SeedOrphansFromDistances(cx, new_d);
-    } else {
-      RepairDistancesRemoval(adj, cx);
-    }
+    RepairDistancesRemoval(adj, cx);
   }
 
   RepairSigmas(adj, cx);
@@ -585,20 +567,14 @@ Status IncrementalEngine::RunForSource(const Adj& adj,
   return EmitPatches(cx, store, stats);
 }
 
-// Whether a source's repair should wait for a MS-BFS batch: every source
-// whose repair may need new distances — structural additions (decidable
-// from the peeked endpoint distances alone) and every non-skipped removal
-// (structural-vs-not needs uL's predecessor scan, which runs after View;
-// a removal that refines to non-structural simply ignores its lane).
-static bool ShouldDeferForBatch(bool directed, bool addition, Distance du,
-                                Distance dv) {
+// Whether an addition's repair should wait for a MS-BFS batch: exactly the
+// structural ones, decidable from the peeked endpoint distances alone.
+// Removals never wait (see RunForSourceSpan).
+static bool IsStructuralAddition(bool directed, Distance du, Distance dv) {
   if (directed) {
-    if (du == kUnreachable) return false;  // skipped either way
-    if (addition) return dv == kUnreachable || dv > du + 1;
-    return dv == du + 1;
+    return du != kUnreachable && (dv == kUnreachable || dv > du + 1);
   }
   if (du == dv) return false;  // Proposition 3.1 skip (incl. both infinite)
-  if (!addition) return true;
   const Distance dh = std::min(du, dv);
   const Distance dl = std::max(du, dv);
   return dl == kUnreachable || dl > dh + 1;
@@ -610,24 +586,28 @@ Status IncrementalEngine::RunForSourceSpan(const Adj& adj,
                                            std::span<const VertexId> sources,
                                            BdStore* store, BcScores* scores,
                                            UpdateStats* stats) {
-  if (!msbfs_enabled_ || sources.size() < 2) {
+  // Removals take the scalar path: whether one is structural needs uL's
+  // predecessor scan, most turn out not to be, and a structural one's
+  // orphan classification and pivot-seeded re-BFS stay local, so a
+  // full-graph lane would mostly be thrown away (DESIGN.md §14).
+  const bool addition = update.op == EdgeOp::kAdd;
+  if (!msbfs_enabled_ || sources.size() < 2 || !addition) {
     for (const VertexId s : sources) {
       SOBC_RETURN_NOT_OK(RunForSource(adj, update, s, store, scores, stats));
     }
     return Status::OK();
   }
-  const bool addition = update.op == EdgeOp::kAdd;
   const bool directed = adj.directed();
   // Pass 1: classify on the peeked endpoint distances (the same store
-  // probes the scalar loop pays); skipped and non-structural-addition
-  // sources run to completion right here, structural candidates queue for
-  // a shared traversal.
+  // probes the scalar loop pays); skipped and non-structural sources run
+  // to completion right here, structural ones queue for a shared
+  // traversal.
   deferred_.clear();
   for (const VertexId s : sources) {
     Distance du = kUnreachable;
     Distance dv = kUnreachable;
     SOBC_RETURN_NOT_OK(store->PeekDistances(s, update.u, update.v, &du, &dv));
-    if (ShouldDeferForBatch(directed, addition, du, dv)) {
+    if (IsStructuralAddition(directed, du, dv)) {
       deferred_.push_back({s, du, dv});
     } else {
       SOBC_RETURN_NOT_OK(RunForSource(adj, update, s, store, scores, stats,

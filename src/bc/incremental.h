@@ -35,9 +35,10 @@ struct UpdateStats {
   std::uint64_t sources_disconnected = 0;
   /// Vertices whose BD[s] entry was rewritten, summed over sources.
   std::uint64_t vertices_touched = 0;
-  /// Bit-parallel MS-BFS batches run for this update (engine structural
-  /// batches plus the prefilter's 2-lane call) and how many of their
-  /// levels expanded bottom-up (the direction-optimizing dense levels).
+  /// Bit-parallel MS-BFS batches run for this update (engine batches of
+  /// structural-addition sources plus the prefilter's 2-lane call) and how
+  /// many of their levels expanded bottom-up (the direction-optimizing
+  /// dense levels).
   std::uint64_t msbfs_batches = 0;
   std::uint64_t bottom_up_levels = 0;
 
@@ -98,13 +99,15 @@ class IncrementalEngine {
   PredMode pred_mode() const { return pred_mode_; }
   bool use_csr() const { return use_csr_; }
 
-  /// Selects the structural-repair traversal: bit-parallel MS-BFS batches
-  /// (default) or the paper's per-source relax-BFS. The span entry points
-  /// batch the structural sources of their chunk — up to 64 per kernel
-  /// call — compute their final new distances in one pass, and seed the
-  /// repair pipeline with them, so the sigma/dependency phases run
-  /// unchanged (DESIGN.md §14). Results are equivalent up to
-  /// floating-point summation order; distances and sigmas are identical.
+  /// Selects the structural-addition traversal: bit-parallel MS-BFS
+  /// batches (default) or the paper's per-source relax-BFS. The span entry
+  /// point batches the structural-addition sources of its span — up to 64
+  /// per kernel call — computes their final new distances in one pass, and
+  /// seeds the repair pipeline with them, so the sigma/dependency phases
+  /// run unchanged (DESIGN.md §14). Removals always take the per-source
+  /// orphan classification and pivot-seeded re-BFS. Results are equivalent
+  /// up to floating-point summation order; distances and sigmas are
+  /// identical.
   void ConfigureMsBfs(bool enabled, const MsBfsOptions& options) {
     msbfs_enabled_ = enabled;
     msbfs_options_ = options;
@@ -157,28 +160,25 @@ class IncrementalEngine {
   // public entry points dispatch once per source range, not per edge.
   /// `peeked` carries the endpoint distances when the caller already
   /// probed them (the batched span drains peek once, during deferral
-  /// classification). `new_d` (n entries) carries the source's final
-  /// post-update distances when a MS-BFS batch precomputed them; null
-  /// falls back to the per-source relax-BFS.
+  /// classification). `new_d` (n entries) carries a structural addition's
+  /// final post-update distances when a MS-BFS batch precomputed them;
+  /// null falls back to the per-source relax-BFS.
   template <class Adj>
   Status RunForSource(const Adj& adj, const EdgeUpdate& update, VertexId s,
                       BdStore* store, BcScores* scores, UpdateStats* stats,
                       bool peeked = false, Distance peek_du = 0,
                       Distance peek_dv = 0, const Distance* new_d = nullptr);
   /// Drives a source span through the batched MS-BFS path (or the scalar
-  /// loop when batching is off / pointless).
+  /// loop for removals and when batching is off / pointless).
   template <class Adj>
   Status RunForSourceSpan(const Adj& adj, const EdgeUpdate& update,
                           std::span<const VertexId> sources, BdStore* store,
                           BcScores* scores, UpdateStats* stats);
-  /// Seeds the repair queues from precomputed final distances: every moved
-  /// vertex (addition) or classified orphan (removal) enters at its final
-  /// level, so RepairSigmas' relaxation never fires and the sweep is a
-  /// pure recount.
+  /// Seeds the repair queues from an addition's precomputed final
+  /// distances: every moved vertex enters at its final level, so
+  /// RepairSigmas' relaxation never fires and the sweep is a pure recount.
   void SeedMovedFromDistances(const SourceContext& cx, std::size_t n,
                               const Distance* new_d);
-  void SeedOrphansFromDistances(const SourceContext& cx,
-                                const Distance* new_d);
   template <class Adj>
   void ClassifyOrphans(const Adj& adj, const SourceContext& cx);
   template <class Adj>
@@ -208,7 +208,7 @@ class IncrementalEngine {
   bool use_csr_ = true;
 
   /// Batched-kernel state (see ConfigureMsBfs). `deferred_` holds the
-  /// structural candidates of the current span with their peeked endpoint
+  /// structural additions of the current span with their peeked endpoint
   /// distances; the lane slab inside the scratch carries each batch's
   /// per-source final distances.
   struct DeferredSource {

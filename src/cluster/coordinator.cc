@@ -519,7 +519,7 @@ Status ClusterCoordinator::RecoverShard(Shard* shard,
 Status ClusterCoordinator::ReplicateBatch(
     std::uint64_t epoch, std::uint64_t stream_position,
     const std::vector<EdgeUpdate>& updates, std::vector<BcScores>* partials,
-    std::uint64_t* sources_total, std::uint64_t* sources_prefiltered) {
+    UpdateStats* totals) {
   ApplyMsg msg;
   msg.epoch = epoch;
   msg.stream_position = stream_position;
@@ -611,8 +611,10 @@ Status ClusterCoordinator::ReplicateBatch(
     SOBC_RETURN_NOT_OK(PropagateShardHealth(shard, ack.health));
     shard.epoch = ack.epoch;
     shard.health = ack.health;
-    *sources_total += ack.sources_total;
-    *sources_prefiltered += ack.sources_prefiltered;
+    totals->sources_total += ack.sources_total;
+    totals->sources_prefiltered += ack.sources_prefiltered;
+    totals->msbfs_batches += ack.msbfs_batches;
+    totals->bottom_up_levels += ack.bottom_up_levels;
     (*partials)[i] = std::move(ack.partial);
   }
   return Status::OK();
@@ -1130,11 +1132,9 @@ void ClusterCoordinator::WriterLoop() {
     const std::size_t joining_index =
         migration_.active ? migration_.joining : shards_.size();
     std::vector<BcScores> partials(shards_.size());
-    std::uint64_t sources_total = 0;
-    std::uint64_t sources_prefiltered = 0;
+    UpdateStats totals;
     const Status replicated =
-        ReplicateBatch(epoch, position, batch.updates, &partials,
-                       &sources_total, &sources_prefiltered);
+        ReplicateBatch(epoch, position, batch.updates, &partials, &totals);
     if (!replicated.ok()) {
       fail(replicated);
       return;
@@ -1158,7 +1158,9 @@ void ClusterCoordinator::WriterLoop() {
     metrics_.RecordBatch(batch.updates.size(),
                          batch.consumed - batch.updates.size(),
                          now - batch_start, batch.enqueue_seconds, epoch,
-                         position, sources_total, sources_prefiltered);
+                         position, totals.sources_total,
+                         totals.sources_prefiltered, totals.msbfs_batches,
+                         totals.bottom_up_levels);
     {
       std::lock_guard<std::mutex> lock(mu_);
       final_epoch_ = epoch;

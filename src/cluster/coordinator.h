@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "bc/incremental.h"
 #include "cluster/shard_map.h"
 #include "cluster/transport.h"
 #include "cluster/wire.h"
@@ -304,15 +305,14 @@ class ClusterCoordinator {
   void WriterLoop();
   /// Replicates one batch (already applied to the replica graph, pushed
   /// to the window, and shipped to the standby) to every shard and
-  /// collects acked partials into `partials`. Any shard failure is
-  /// retried through RecoverShard within the budget; a terminal failure
+  /// collects acked partials into `partials` and the acks' source and
+  /// MS-BFS counters, summed over shards, into `totals`. Any shard failure
+  /// is retried through RecoverShard within the budget; a terminal failure
   /// comes back as the status. A failing JOINING shard never fails the
   /// batch — it aborts the migration (migration_.joining_status).
   Status ReplicateBatch(std::uint64_t epoch, std::uint64_t stream_position,
                         const std::vector<EdgeUpdate>& updates,
-                        std::vector<BcScores>* partials,
-                        std::uint64_t* sources_total,
-                        std::uint64_t* sources_prefiltered);
+                        std::vector<BcScores>* partials, UpdateStats* totals);
   /// Bounded-retry recovery of one shard to `target_epoch`: reconnect,
   /// re-handshake, resend the missed window epochs (the shard dedupes
   /// duplicates), and return the ack of the target epoch.

@@ -135,6 +135,8 @@ ApplyAckMsg ShardWorker::HandleApply(const ApplyMsg& msg) {
   const UpdateStats& stats = service_->framework()->last_update_stats();
   ack.sources_total = stats.sources_total;
   ack.sources_prefiltered = stats.sources_prefiltered;
+  ack.msbfs_batches = stats.msbfs_batches;
+  ack.bottom_up_levels = stats.bottom_up_levels;
   ack.partial = service_->framework()->scores();
   return ack;
 }

@@ -276,6 +276,8 @@ std::string EncodeApplyAck(const ApplyAckMsg& msg) {
   PutU8(&out, msg.health);
   PutU64(&out, msg.sources_total);
   PutU64(&out, msg.sources_prefiltered);
+  PutU64(&out, msg.msbfs_batches);
+  PutU64(&out, msg.bottom_up_levels);
   PutScores(&out, msg.partial);
   return out;
 }
@@ -292,6 +294,8 @@ Result<ApplyAckMsg> DecodeApplyAck(const std::string& payload) {
   msg.health = reader.U8();
   msg.sources_total = reader.U64();
   msg.sources_prefiltered = reader.U64();
+  msg.msbfs_batches = reader.U64();
+  msg.bottom_up_levels = reader.U64();
   msg.partial = reader.Scores();
   if (!reader.Finished()) return Malformed("apply-ack");
   return msg;

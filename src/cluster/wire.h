@@ -17,8 +17,9 @@ namespace sobc {
 /// change; the Hello/HelloAck exchange refuses a mismatch at bring-up
 /// instead of mis-parsing frames mid-stream. v2: standby replication
 /// (Replicate/ReplicateAck), live rebalancing (SplitRange/MergeRange/
-/// Migrate*), and the shard-map version in HelloAck.
-inline constexpr std::uint32_t kClusterProtocolVersion = 2;
+/// Migrate*), and the shard-map version in HelloAck. v3: ApplyAck carries
+/// the batch's MS-BFS counters.
+inline constexpr std::uint32_t kClusterProtocolVersion = 3;
 
 /// Every message is one transport frame; the frame layer (transport.h)
 /// adds the [u32 length][u32 crc] envelope, so a payload reaching a
@@ -98,6 +99,8 @@ struct ApplyAckMsg {
   std::uint8_t health = 0;
   std::uint64_t sources_total = 0;
   std::uint64_t sources_prefiltered = 0;
+  std::uint64_t msbfs_batches = 0;
+  std::uint64_t bottom_up_levels = 0;
   BcScores partial;
 };
 

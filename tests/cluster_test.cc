@@ -148,6 +148,10 @@ TEST_F(ClusterTest, ShardedClusterMatchesSingleProcessOnChurn) {
                      std::to_string(shards) + "-shard cluster");
     EXPECT_EQ(snap->num_vertices, reference->num_vertices);
     EXPECT_EQ(snap->num_edges, reference->num_edges);
+    // The shards' MS-BFS counters reach the coordinator's metrics, as a
+    // single process's reach its own (each shard's prefilter folds at
+    // least once per applied update).
+    EXPECT_GT((*coordinator)->metrics().msbfs_batches, 0u);
 
     // Epochs advanced in lockstep on every shard.
     for (const ShardStatus& status : (*coordinator)->shard_status()) {

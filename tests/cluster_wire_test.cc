@@ -172,6 +172,8 @@ TEST(WireTest, ApplyAckRoundTripCarriesPartialScores) {
   msg.health = 2;
   msg.sources_total = 40;
   msg.sources_prefiltered = 15;
+  msg.msbfs_batches = 9;
+  msg.bottom_up_levels = 4;
   msg.partial.vbc = {0.0, 1.5, 2.25};
   msg.partial.ebc[EdgeKey{1, 2}] = 3.75;
   const std::string payload = EncodeApplyAck(msg);
@@ -184,6 +186,8 @@ TEST(WireTest, ApplyAckRoundTripCarriesPartialScores) {
   EXPECT_EQ(decoded->health, 2);
   EXPECT_EQ(decoded->sources_total, 40u);
   EXPECT_EQ(decoded->sources_prefiltered, 15u);
+  EXPECT_EQ(decoded->msbfs_batches, 9u);
+  EXPECT_EQ(decoded->bottom_up_levels, 4u);
   EXPECT_EQ(decoded->partial.vbc, (std::vector<double>{0.0, 1.5, 2.25}));
   EXPECT_EQ(decoded->partial.ebc.at(EdgeKey{1, 2}), 3.75);
 }
@@ -319,7 +323,8 @@ TEST(WireTest, RebalanceControlRoundTrips) {
 TEST(WireTest, EveryNewMessageRefusesEveryTruncationPoint) {
   // Same every-byte sweep the v1 messages get: a truncated payload must
   // be an error at EVERY cut point, never a partial decode. The
-  // (encoder, decoder) pairs cover all seven v2 messages.
+  // (encoder, decoder) pairs cover all seven v2 messages and the v3
+  // ApplyAck (its MS-BFS counters sit between fixed fields and scores).
   ReplicateMsg replicate;
   replicate.kind = ReplicateMsg::kBatch;
   replicate.epoch = 1;
@@ -336,6 +341,12 @@ TEST(WireTest, EveryNewMessageRefusesEveryTruncationPoint) {
   MigrateChunkMsg chunk;
   chunk.data = "abcdef";
   MigrateCommitMsg commit;
+  ApplyAckMsg apply_ack;
+  apply_ack.message = "m";
+  apply_ack.msbfs_batches = 3;
+  apply_ack.bottom_up_levels = 1;
+  apply_ack.partial.vbc = {1.0};
+  apply_ack.partial.ebc[EdgeKey{0, 1}] = 0.5;
 
   struct Case {
     const char* name;
@@ -357,6 +368,8 @@ TEST(WireTest, EveryNewMessageRefusesEveryTruncationPoint) {
        [](const std::string& p) { return DecodeMigrateChunk(p).ok(); }},
       {"migrate-commit", EncodeMigrateCommit(commit),
        [](const std::string& p) { return DecodeMigrateCommit(p).ok(); }},
+      {"apply-ack", EncodeApplyAck(apply_ack),
+       [](const std::string& p) { return DecodeApplyAck(p).ok(); }},
   };
   for (const Case& c : cases) {
     ASSERT_TRUE(c.decodes(c.payload)) << c.name;

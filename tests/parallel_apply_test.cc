@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <memory>
 #include <span>
 #include <string>
@@ -42,6 +43,9 @@ struct ApplyConfig {
   // cache even at test scale.
   RecordCodecId codec = RecordCodecId::kRaw;
   bool prefetch = false;
+  // Structural-addition traversal: MS-BFS batches, or the per-source
+  // relax-BFS (DynamicBcOptions::msbfs = false).
+  bool msbfs = true;
 };
 
 std::string ConfigName(const ApplyConfig& config) {
@@ -53,6 +57,7 @@ std::string ConfigName(const ApplyConfig& config) {
   }
   name += "_t" + std::to_string(config.threads);
   if (!config.prefilter) name += "_noprefilter";
+  if (!config.msbfs) name += "_nomsbfs";
   if (config.variant == BcVariant::kOutOfCore) {
     name += std::string("_") + RecordCodecName(config.codec);
     if (config.prefetch) name += "_prefetch";
@@ -67,6 +72,7 @@ std::unique_ptr<DynamicBc> MakeBc(const Graph& graph,
   options.variant = config.variant;
   options.num_threads = config.threads;
   options.prefilter = config.prefilter;
+  options.msbfs = config.msbfs;
   if (config.variant == BcVariant::kOutOfCore) {
     options.storage_path = ::testing::TempDir() + "/parallel_apply_" + label +
                            "_" + ConfigName(config) + ".bd";
@@ -80,11 +86,19 @@ std::unique_ptr<DynamicBc> MakeBc(const Graph& graph,
   return bc.ok() ? std::move(*bc) : nullptr;
 }
 
+/// The per-source relax-BFS path for structural additions, serial and
+/// under lanes, in memory and out of core.
+const ApplyConfig kNoMsBfsConfigs[] = {
+    {BcVariant::kMemory, 1, true, RecordCodecId::kRaw, false, false},
+    {BcVariant::kMemory, 4, true, RecordCodecId::kRaw, false, false},
+    {BcVariant::kOutOfCore, 2, true, RecordCodecId::kRaw, false, false},
+};
+
 /// Replays `stream` under every configuration, holding each one to the
 /// from-scratch answer after every single update.
 void RunDifferential(const Graph& base, const EdgeStream& stream,
                      const std::string& label) {
-  const std::vector<ApplyConfig> configs = {
+  std::vector<ApplyConfig> configs = {
       {BcVariant::kMemory, 1, true},
       {BcVariant::kMemory, 1, false},
       {BcVariant::kMemory, 2, true},
@@ -100,6 +114,8 @@ void RunDifferential(const Graph& base, const EdgeStream& stream,
       {BcVariant::kOutOfCore, 8, true, RecordCodecId::kRaw, true},
       {BcVariant::kOutOfCore, 1, true, RecordCodecId::kDelta, true},
   };
+  configs.insert(configs.end(), std::begin(kNoMsBfsConfigs),
+                 std::end(kNoMsBfsConfigs));
   std::vector<std::unique_ptr<DynamicBc>> frameworks;
   for (const ApplyConfig& config : configs) {
     frameworks.push_back(MakeBc(base, config, label));
@@ -433,6 +449,89 @@ TEST(ParallelApply, PrefilterKernelCountedOncePerUpdate) {
     ASSERT_TRUE(bc.ok());
     ASSERT_TRUE((*bc)->ApplyBatch(stream).ok());
     EXPECT_EQ((*bc)->last_update_stats().msbfs_batches, stream.size())
+        << threads << " lanes";
+  }
+}
+
+TEST(ParallelApply, MsBfsOffMatchesOnPerBatch) {
+  // The traversal choice may change how structural additions find their
+  // new distances, never which sources are structural or what the scores
+  // are: each per-batch source counter must equal the MS-BFS run's.
+  const auto [base, stream] = testlib::ChurnScenario(
+      /*seed=*/1012, /*n=*/40, /*extra_edges=*/20, /*updates=*/192,
+      /*remove_fraction=*/0.45);
+  for (const ApplyConfig& off : kNoMsBfsConfigs) {
+    ApplyConfig on = off;
+    on.msbfs = true;
+    auto with = MakeBc(base, on, "msbfs_axis");
+    auto without = MakeBc(base, off, "msbfs_axis");
+    ASSERT_NE(with, nullptr);
+    ASSERT_NE(without, nullptr);
+    UpdateStats totals;
+    Graph replay = base;
+    for (std::size_t i = 0; i < stream.size(); i += 64) {
+      const std::span<const EdgeUpdate> updates(
+          stream.data() + i, std::min<std::size_t>(64, stream.size() - i));
+      for (const EdgeUpdate& update : updates) {
+        ASSERT_TRUE(ApplyToGraph(&replay, update).ok());
+      }
+      ASSERT_TRUE(with->ApplyBatch(updates).ok());
+      ASSERT_TRUE(without->ApplyBatch(updates).ok());
+      const std::string where = ConfigName(off) + " batch at " +
+                                std::to_string(i);
+      ExpectScoresNear(ComputeBrandes(replay), without->scores(), kTol,
+                       where);
+      const UpdateStats& a = with->last_update_stats();
+      const UpdateStats& b = without->last_update_stats();
+      EXPECT_EQ(a.sources_structural, b.sources_structural) << where;
+      EXPECT_EQ(a.sources_non_structural, b.sources_non_structural)
+          << where;
+      EXPECT_EQ(a.sources_disconnected, b.sources_disconnected) << where;
+      EXPECT_EQ(b.msbfs_batches, 0u) << where;
+      totals.Merge(b);
+    }
+    // The stream exercises both repair kinds and split-off components.
+    EXPECT_GT(totals.sources_structural, 0u) << ConfigName(off);
+    EXPECT_GT(totals.sources_non_structural, 0u) << ConfigName(off);
+    EXPECT_GT(totals.sources_disconnected, 0u) << ConfigName(off);
+  }
+}
+
+TEST(ParallelApply, EngineNeverBatchesRemovals) {
+  // Removals repair locally (orphan classification and a pivot-seeded
+  // re-BFS); only structural additions share MS-BFS traversals. With the
+  // prefilter off, every counted batch is the engine's own.
+  Rng rng(1013);
+  const Graph base = TwoClusterGraph(&rng);
+  EdgeStream removals;
+  for (const EdgeKey& edge : base.Edges()) {
+    const bool bridge = edge.u == 0 && edge.v == kHalf;
+    if (!bridge && rng.Uniform(3) == 0) {
+      removals.push_back({edge.u, edge.v, EdgeOp::kRemove, 0.0});
+    }
+  }
+  removals.push_back({0, kHalf, EdgeOp::kRemove, 0.0});  // splits the graph
+  Graph after_removals = base;
+  for (const EdgeUpdate& update : removals) {
+    ASSERT_TRUE(ApplyToGraph(&after_removals, update).ok());
+  }
+  // Re-joining the halves is structural for every source.
+  const EdgeStream additions = {{1, kHalf + 1, EdgeOp::kAdd, 0.0},
+                                {2, kHalf + 5, EdgeOp::kAdd, 0.0}};
+  for (const int threads : {1, 4}) {
+    ApplyConfig config{BcVariant::kMemory, threads, /*prefilter=*/false};
+    auto bc = MakeBc(base, config, "removals");
+    ASSERT_NE(bc, nullptr);
+    ASSERT_TRUE(bc->ApplyBatch(removals).ok());
+    const UpdateStats removal_stats = bc->last_update_stats();
+    EXPECT_EQ(removal_stats.msbfs_batches, 0u) << threads << " lanes";
+    EXPECT_GT(removal_stats.sources_structural, 0u) << threads << " lanes";
+    EXPECT_GT(removal_stats.sources_disconnected, 0u) << threads << " lanes";
+    ExpectScoresNear(ComputeBrandes(after_removals), bc->scores(), kTol,
+                     "removals, " + std::to_string(threads) + " lanes");
+
+    ASSERT_TRUE(bc->ApplyBatch(additions).ok());
+    EXPECT_GT(bc->last_update_stats().msbfs_batches, 0u)
         << threads << " lanes";
   }
 }

@@ -200,6 +200,20 @@ struct CliArgs {
 /// typo such as --threads=40000 would exhaust memory before doing any work.
 constexpr int kMaxThreads = 1024;
 
+/// Parses the value of `--name=` as a whole non-negative count into
+/// `out`; on a malformed value prints why and returns false.
+bool ParseCountFlag(const char* name, const std::string& text,
+                    std::size_t* out) {
+  auto value = ParseUint64(text);
+  if (!value.ok()) {
+    std::fprintf(stderr, "--%s: expected a non-negative count: %s\n", name,
+                 value.status().ToString().c_str());
+    return false;
+  }
+  *out = static_cast<std::size_t>(*value);
+  return true;
+}
+
 bool ParseArgs(int argc, char** argv, CliArgs* args) {
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -212,13 +226,7 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
     } else if (arg.rfind("--out=", 0) == 0) {
       args->out_path = arg.substr(6);
     } else if (arg.rfind("--top=", 0) == 0) {
-      auto value = ParseUint64(arg.substr(6));
-      if (!value.ok()) {
-        std::fprintf(stderr, "--top: expected a non-negative count: %s\n",
-                     value.status().ToString().c_str());
-        return false;
-      }
-      args->top = static_cast<std::size_t>(*value);
+      if (!ParseCountFlag("top", arg.substr(6), &args->top)) return false;
     } else if (arg.rfind("--seed=", 0) == 0) {
       args->seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
     } else if (arg.rfind("--stream=", 0) == 0) {
@@ -299,7 +307,9 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
     } else if (arg.rfind("--store-codec=", 0) == 0) {
       args->store_codec = arg.substr(14);
     } else if (arg.rfind("--cache-mb=", 0) == 0) {
-      args->cache_mb = std::strtoul(arg.c_str() + 11, nullptr, 10);
+      if (!ParseCountFlag("cache-mb", arg.substr(11), &args->cache_mb)) {
+        return false;
+      }
     } else if (arg == "--prefetch") {
       args->prefetch = true;
     } else if (arg == "--no-prefetch") {
@@ -311,11 +321,25 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
     } else if (arg.rfind("--checkpoint-dir=", 0) == 0) {
       args->checkpoint_dir = arg.substr(17);
     } else if (arg.rfind("--fsync=", 0) == 0) {
-      args->fsync_every = std::strtoul(arg.c_str() + 8, nullptr, 10);
+      if (!ParseCountFlag("fsync", arg.substr(8), &args->fsync_every)) {
+        return false;
+      }
     } else if (arg.rfind("--checkpoint-every=", 0) == 0) {
-      args->checkpoint_every = std::strtoul(arg.c_str() + 19, nullptr, 10);
+      if (!ParseCountFlag("checkpoint-every", arg.substr(19),
+                          &args->checkpoint_every)) {
+        return false;
+      }
     } else if (arg.rfind("--checkpoint-interval=", 0) == 0) {
-      args->checkpoint_interval = std::strtod(arg.c_str() + 22, nullptr);
+      auto value = ParseFiniteDouble(arg.substr(22));
+      if (!value.ok() || *value < 0.0) {
+        std::fprintf(stderr,
+                     "--checkpoint-interval: expected finite seconds >= 0: "
+                     "%s\n",
+                     value.ok() ? arg.substr(22).c_str()
+                                : value.status().ToString().c_str());
+        return false;
+      }
+      args->checkpoint_interval = *value;
     } else if (arg.rfind("--kill-after=", 0) == 0) {
       args->kill_after = std::strtoul(arg.c_str() + 13, nullptr, 10);
     } else if (arg.rfind("--fault-schedule=", 0) == 0) {
