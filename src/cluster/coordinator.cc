@@ -46,13 +46,23 @@ void SleepSeconds(double seconds) {
   std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
 }
 
+/// One Fetch/Partial round trip: the shard's cumulative partial at its
+/// current epoch.
+Result<PartialMsg> FetchPartial(Connection* conn, double timeout_seconds) {
+  SOBC_RETURN_NOT_OK(conn->SendFrame(EncodeFetch()));
+  std::string payload;
+  SOBC_RETURN_NOT_OK(
+      RecvExpect(conn, MsgType::kPartial, timeout_seconds, &payload));
+  return DecodePartial(payload);
+}
+
 }  // namespace
 
 ClusterCoordinator::ClusterCoordinator(
     Graph graph, const ClusterCoordinatorOptions& options)
-    : options_(ResolveOptions(options, graph)),
-      graph_(std::move(graph)),
-      queue_(options_.queue) {
+    : WriterPipeline(ResolveOptions(options, graph).queue, this),
+      options_(ResolveOptions(options, graph)),
+      graph_(std::move(graph)) {
   boot_vertices_ = graph_.NumVertices();
   boot_edges_ = graph_.NumEdges();
   boot_directed_ = graph_.directed();
@@ -177,17 +187,14 @@ Result<std::unique_ptr<ClusterCoordinator>> ClusterCoordinator::Connect(
 
   // The bring-up merge: fetch every shard's current partial and publish
   // the epoch the cluster stands at before accepting any update.
-  std::vector<BcScores> partials(num_shards);
+  std::vector<BcScores>& partials = coordinator->partials_;
+  partials.resize(num_shards);
   std::uint64_t base_epoch = coordinator->shards_[0].epoch;
   std::uint64_t base_position = 0;
   for (std::size_t i = 0; i < num_shards; ++i) {
     Shard& shard = coordinator->shards_[i];
-    SOBC_RETURN_NOT_OK(shard.conn->SendFrame(EncodeFetch()));
-    std::string payload;
-    SOBC_RETURN_NOT_OK(RecvExpect(shard.conn.get(), MsgType::kPartial,
-                                  resolved.shard_ack_timeout_seconds,
-                                  &payload));
-    auto partial = DecodePartial(payload);
+    auto partial =
+        FetchPartial(shard.conn.get(), resolved.shard_ack_timeout_seconds);
     SOBC_RETURN_NOT_OK(partial.status());
     if (partial->epoch != base_epoch) {
       return Status::FailedPrecondition(
@@ -203,31 +210,7 @@ Result<std::unique_ptr<ClusterCoordinator>> ClusterCoordinator::Connect(
           " is degraded (checkpointing suspended shard-side)"));
     }
   }
-
-  // Merge pool: the reduce tree over p partials has floor(p/2)-way
-  // parallelism in its first round; tiny clusters merge serially.
-  if (resolved.merge_threads > 0) {
-    coordinator->merge_pool_ =
-        std::make_unique<ThreadPool>(resolved.merge_threads);
-  } else if (num_shards >= 4) {
-    coordinator->merge_pool_ = std::make_unique<ThreadPool>(num_shards / 2);
-  }
-
-  BcScores& merged = coordinator->MergePartials(&partials);
-  coordinator->snapshots_.Publish(BuildSnapshot(
-      coordinator->graph_, merged, base_epoch, base_position,
-      resolved.top_k, resolved.snapshot_edge_scores));
-  coordinator->metrics_.SeedPublication(base_epoch, base_position);
-  coordinator->base_epoch_ = base_epoch;
-  coordinator->base_position_ = base_position;
-  coordinator->final_epoch_ = base_epoch;
-  coordinator->final_position_ = base_position;
-  coordinator->published_position_.store(base_position,
-                                         std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> lock(coordinator->mu_);
-    coordinator->RefreshShardStatusLocked();
-  }
+  coordinator->BringUp(base_epoch, base_position);
   if (!resolved.standby_listen.empty()) {
     auto listener = transport->Listen(resolved.standby_listen);
     if (!listener.ok()) {
@@ -240,8 +223,7 @@ Result<std::unique_ptr<ClusterCoordinator>> ClusterCoordinator::Connect(
     coordinator->standby_acceptor_ = std::thread(
         [raw = coordinator.get()] { raw->StandbyAcceptorLoop(); });
   }
-  coordinator->writer_ =
-      std::thread([raw = coordinator.get()] { raw->WriterLoop(); });
+  coordinator->Start();
   return coordinator;
 }
 
@@ -298,11 +280,8 @@ Result<std::unique_ptr<ClusterCoordinator>> ClusterCoordinator::Standby(
 
   coordinator->base_epoch_ = boot->epoch;
   coordinator->base_position_ = boot->stream_position;
-  coordinator->final_epoch_ = boot->epoch;
-  coordinator->final_position_ = boot->stream_position;
-  coordinator->published_position_.store(boot->stream_position,
-                                         std::memory_order_release);
-  coordinator->metrics_.SeedPublication(boot->epoch, boot->stream_position);
+  // Position only: a tailing standby has no servable snapshot.
+  coordinator->Publish(nullptr, boot->epoch, boot->stream_position);
   coordinator->primary_conn_ = std::move(*conn);
   coordinator->tail_thread_ =
       std::thread([raw = coordinator.get()] { raw->TailLoop(); });
@@ -330,30 +309,27 @@ std::vector<ShardStatus> ClusterCoordinator::shard_status() const {
   return shard_status_;
 }
 
-bool ClusterCoordinator::Submit(const EdgeUpdate& update) {
-  const Role current = role();
-  if (current != Role::kPrimary && current != Role::kStandbyActive) {
-    return false;
+void ClusterCoordinator::BringUp(std::uint64_t epoch, std::uint64_t position) {
+  // Merge pool: the reduce tree over p partials has floor(p/2)-way
+  // parallelism in its first round; tiny clusters merge serially.
+  if (options_.merge_threads > 0) {
+    merge_pool_ = std::make_unique<ThreadPool>(options_.merge_threads);
+  } else if (shards_.size() >= 4) {
+    merge_pool_ = std::make_unique<ThreadPool>(shards_.size() / 2);
   }
-  if (health() == ServiceHealth::kReadOnly) return false;
-  return queue_.Push(update);
+  MergePartials();
+  Publish(Snapshot(epoch, position), epoch, position);
+  base_epoch_ = epoch;
+  base_position_ = position;
+  std::lock_guard<std::mutex> lock(mu_);
+  RefreshShardStatusLocked();
 }
 
-std::size_t ClusterCoordinator::SubmitAll(const EdgeStream& stream) {
-  std::size_t accepted = 0;
-  for (const EdgeUpdate& update : stream) {
-    if (Submit(update)) ++accepted;
-  }
-  return accepted;
-}
-
-BcScores& ClusterCoordinator::MergePartials(
-    std::vector<BcScores>* partials) {
+void ClusterCoordinator::MergePartials() {
   std::vector<BcScores*> pointers;
-  pointers.reserve(partials->size());
-  for (BcScores& partial : *partials) pointers.push_back(&partial);
+  pointers.reserve(partials_.size());
+  for (BcScores& partial : partials_) pointers.push_back(&partial);
   TreeReduceScores(merge_pool_.get(), pointers);
-  return (*partials)[0];
 }
 
 Status ClusterCoordinator::PropagateShardHealth(const Shard& shard,
@@ -440,40 +416,16 @@ Status ClusterCoordinator::RecoverShard(Shard* shard,
                                            : window_.front().epoch) +
             "); re-bootstrap it from a fresher checkpoint copy");
       }
-      bool connection_ok = true;
-      for (std::uint64_t e = hello->epoch + 1; e <= target_epoch; ++e) {
-        const WindowEntry& entry = window_[e - window_.front().epoch];
-        ApplyMsg msg;
-        msg.epoch = entry.epoch;
-        msg.stream_position = entry.stream_position;
-        msg.updates = entry.updates;
-        if (!(*conn)->SendFrame(EncodeApply(msg)).ok()) {
-          connection_ok = false;
-          break;
-        }
-        std::string payload;
-        const Status recv_status =
-            RecvExpect(conn->get(), MsgType::kApplyAck,
-                       options_.shard_ack_timeout_seconds, &payload);
-        if (!recv_status.ok()) {
-          last_error = recv_status;
-          connection_ok = false;
-          break;
-        }
-        auto decoded = DecodeApplyAck(payload);
-        if (!decoded.ok()) {
-          last_error = decoded.status();
-          connection_ok = false;
-          break;
-        }
-        ack = std::move(*decoded);
-        if (!ack.ok) {
-          return Status(static_cast<StatusCode>(ack.status_code),
-                        who + " failed during resync: " + ack.message);
-        }
-        ++shard->resent_batches;
+      const Status resent =
+          ResendWindow(conn->get(), hello->epoch, target_epoch, shard, &ack);
+      if (!resent.ok()) {
+        last_error = resent;
+        continue;
       }
-      if (!connection_ok) continue;
+      if (!ack.ok) {
+        return Status(static_cast<StatusCode>(ack.status_code),
+                      who + " failed during resync: " + ack.message);
+      }
       if (ack.epoch != target_epoch) {
         last_error = Status::Internal(
             who + " acked epoch " + std::to_string(ack.epoch) +
@@ -483,16 +435,8 @@ Status ClusterCoordinator::RecoverShard(Shard* shard,
     } else {
       // The shard already holds the target epoch — the batch landed and
       // only its ack was lost. Fetch the partial that ack carried.
-      if (!(*conn)->SendFrame(EncodeFetch()).ok()) continue;
-      std::string payload;
-      const Status recv_status =
-          RecvExpect(conn->get(), MsgType::kPartial,
-                     options_.shard_ack_timeout_seconds, &payload);
-      if (!recv_status.ok()) {
-        last_error = recv_status;
-        continue;
-      }
-      auto partial = DecodePartial(payload);
+      auto partial =
+          FetchPartial(conn->get(), options_.shard_ack_timeout_seconds);
       if (!partial.ok()) {
         last_error = partial.status();
         continue;
@@ -516,14 +460,38 @@ Status ClusterCoordinator::RecoverShard(Shard* shard,
       "s) exhausted bringing back " + who + ": " + last_error.message());
 }
 
+Status ClusterCoordinator::ResendWindow(Connection* conn,
+                                        std::uint64_t after_epoch,
+                                        std::uint64_t through_epoch,
+                                        Shard* shard, ApplyAckMsg* ack) {
+  for (std::uint64_t e = after_epoch + 1; e <= through_epoch; ++e) {
+    const WindowEntry& entry = window_[e - window_.front().epoch];
+    ApplyMsg msg;
+    msg.epoch = entry.epoch;
+    msg.stream_position = entry.stream_position;
+    msg.updates = entry.updates;
+    SOBC_RETURN_NOT_OK(conn->SendFrame(EncodeApply(msg)));
+    std::string payload;
+    SOBC_RETURN_NOT_OK(RecvExpect(conn, MsgType::kApplyAck,
+                                  options_.shard_ack_timeout_seconds,
+                                  &payload));
+    auto decoded = DecodeApplyAck(payload);
+    SOBC_RETURN_NOT_OK(decoded.status());
+    *ack = std::move(*decoded);
+    if (!ack->ok) return Status::OK();
+    ++shard->resent_batches;
+  }
+  return Status::OK();
+}
+
 Status ClusterCoordinator::ReplicateBatch(
     std::uint64_t epoch, std::uint64_t stream_position,
-    const std::vector<EdgeUpdate>& updates, std::vector<BcScores>* partials,
+    std::span<const EdgeUpdate> updates, std::vector<BcScores>* partials,
     UpdateStats* totals) {
   ApplyMsg msg;
   msg.epoch = epoch;
   msg.stream_position = stream_position;
-  msg.updates = updates;
+  msg.updates.assign(updates.begin(), updates.end());
   const std::string frame = EncodeApply(msg);
 
   // Pipeline: every shard gets the frame before any ack is awaited, so
@@ -806,7 +774,7 @@ void ClusterCoordinator::TailLoop() {
         std::lock_guard<std::mutex> lock(mu_);
         role_.store(Role::kStandbyFinished, std::memory_order_release);
       }
-      publish_cv_.notify_all();
+      role_cv_.notify_all();
       return;
     }
     if (*type != MsgType::kReplicate) continue;
@@ -847,10 +815,8 @@ void ClusterCoordinator::TailLoop() {
     }
     epoch = msg->epoch;
     position = msg->stream_position;
-    window_.push_back(WindowEntry{epoch, position, std::move(msg->updates)});
-    while (window_.size() > options_.replay_window_batches) {
-      window_.pop_front();
-    }
+    PushWindowAndReplicate(
+        WindowEntry{epoch, position, std::move(msg->updates)});
     replicated_batches_.fetch_add(1, std::memory_order_relaxed);
     (void)primary_conn_->SendFrame(EncodeReplicateAck(ack));
   }
@@ -858,7 +824,7 @@ void ClusterCoordinator::TailLoop() {
     std::lock_guard<std::mutex> lock(mu_);
     role_.store(Role::kStandbyFinished, std::memory_order_release);
   }
-  publish_cv_.notify_all();
+  role_cv_.notify_all();
 }
 
 Status ClusterCoordinator::ReconcileShards(std::uint64_t epoch,
@@ -931,26 +897,12 @@ Status ClusterCoordinator::ReconcileShards(std::uint64_t epoch,
               "from a fresher checkpoint copy");
         }
         ApplyAckMsg ack;
-        for (std::uint64_t e = hello->epoch + 1; e <= epoch; ++e) {
-          const WindowEntry& entry = window_[e - window_.front().epoch];
-          ApplyMsg msg;
-          msg.epoch = entry.epoch;
-          msg.stream_position = entry.stream_position;
-          msg.updates = entry.updates;
-          SOBC_RETURN_NOT_OK((*conn)->SendFrame(EncodeApply(msg)));
-          std::string payload;
-          SOBC_RETURN_NOT_OK(
-              RecvExpect(conn->get(), MsgType::kApplyAck,
-                         options_.shard_ack_timeout_seconds, &payload));
-          auto decoded = DecodeApplyAck(payload);
-          SOBC_RETURN_NOT_OK(decoded.status());
-          ack = std::move(*decoded);
-          if (!ack.ok) {
-            return Status(static_cast<StatusCode>(ack.status_code),
-                          who + " failed during the takeover resync: " +
-                              ack.message);
-          }
-          ++shard.resent_batches;
+        SOBC_RETURN_NOT_OK(
+            ResendWindow(conn->get(), hello->epoch, epoch, &shard, &ack));
+        if (!ack.ok) {
+          return Status(static_cast<StatusCode>(ack.status_code),
+                        who + " failed during the takeover resync: " +
+                            ack.message);
         }
         if (ack.epoch != epoch || ack.stream_position != position) {
           return Status::Internal(
@@ -965,12 +917,8 @@ Status ClusterCoordinator::ReconcileShards(std::uint64_t epoch,
       } else {
         // Already at the takeover epoch — its last ack was simply lost
         // with the primary. Fetch the partial that ack carried.
-        SOBC_RETURN_NOT_OK((*conn)->SendFrame(EncodeFetch()));
-        std::string payload;
-        SOBC_RETURN_NOT_OK(
-            RecvExpect(conn->get(), MsgType::kPartial,
-                       options_.shard_ack_timeout_seconds, &payload));
-        auto partial = DecodePartial(payload);
+        auto partial =
+            FetchPartial(conn->get(), options_.shard_ack_timeout_seconds);
         SOBC_RETURN_NOT_OK(partial.status());
         if (partial->epoch != epoch ||
             partial->stream_position != position) {
@@ -1018,33 +966,20 @@ void ClusterCoordinator::Takeover(std::uint64_t epoch,
     return;
   }
   shards_ = std::move(roster);
-  if (options_.merge_threads > 0) {
-    merge_pool_ = std::make_unique<ThreadPool>(options_.merge_threads);
-  } else if (shards_.size() >= 4) {
-    merge_pool_ = std::make_unique<ThreadPool>(shards_.size() / 2);
-  }
-  BcScores& merged = MergePartials(&partials);
-  snapshots_.Publish(BuildSnapshot(graph_, merged, epoch, position,
-                                   options_.top_k,
-                                   options_.snapshot_edge_scores));
-  metrics_.SeedPublication(epoch, position);
-  base_epoch_ = epoch;
-  base_position_ = position;
-  published_position_.store(position, std::memory_order_release);
+  partials_ = std::move(partials);
+  BringUp(epoch, position);
   failovers_.store(1, std::memory_order_relaxed);
   failover_gap_seconds_.store(SteadyNowSeconds() - detected_at,
                               std::memory_order_relaxed);
+  // The writer starts from the tail thread, so Stop/Halt must join the
+  // tail before the writer. It runs before the role flips, so a caller
+  // woken by WaitUntilActive can Submit and Drain at once.
+  Start();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    final_epoch_ = epoch;
-    final_position_ = position;
-    RefreshShardStatusLocked();
     role_.store(Role::kStandbyActive, std::memory_order_release);
   }
-  publish_cv_.notify_all();
-  // The writer starts from the tail thread, so Stop/Halt must join the
-  // tail before the writer.
-  writer_ = std::thread([this] { WriterLoop(); });
+  role_cv_.notify_all();
 }
 
 void ClusterCoordinator::FailStandby(const Status& why) {
@@ -1054,12 +989,12 @@ void ClusterCoordinator::FailStandby(const Status& why) {
     standby_status_ = why;
     role_.store(Role::kStandbyFailed, std::memory_order_release);
   }
-  publish_cv_.notify_all();
+  role_cv_.notify_all();
 }
 
 Status ClusterCoordinator::WaitUntilActive(double timeout_seconds) {
   std::unique_lock<std::mutex> lock(mu_);
-  const bool resolved = publish_cv_.wait_for(
+  const bool resolved = role_cv_.wait_for(
       lock, std::chrono::duration<double>(timeout_seconds), [&] {
         return role_.load(std::memory_order_acquire) !=
                Role::kStandbyTailing;
@@ -1082,106 +1017,75 @@ Status ClusterCoordinator::WaitUntilActive(double timeout_seconds) {
   }
 }
 
-void ClusterCoordinator::WriterLoop() {
-  std::uint64_t epoch = base_epoch_;
-  std::uint64_t position = base_position_;
-  const auto fail = [this](const Status& status) {
-    queue_.Close();
-    EnterReadOnly(status);
-    if (migration_.active) AbortMigration(status);
-    FailPendingControl(status);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      writer_status_ = status;
-      writer_done_ = true;
-    }
-    publish_cv_.notify_all();
-  };
-  DrainedBatch batch;
-  for (;;) {
-    const UpdateQueue::PopResult popped = queue_.PopBatchFor(&batch, 0.05);
-    if (popped == UpdateQueue::PopResult::kClosed) break;
-    if (halted_.load(std::memory_order_acquire)) break;
-    // Rebalance requests run on this thread, between batches, so the
-    // shard roster and map version only ever change at a batch boundary.
-    RunPendingControl(epoch, position);
-    if (popped == UpdateQueue::PopResult::kTimeout) {
-      MaybeCommitMigration(/*idle=*/true);
-      continue;
-    }
-    const double batch_start = SteadyNowSeconds();
-    ++epoch;
-    position += batch.consumed;
-    // Validate against + advance the replica first: a poison batch (one
-    // the engine deterministically rejects) dies here, on the
-    // coordinator, before any shard ever sees its epoch.
-    Status replica_status;
-    for (const EdgeUpdate& update : batch.updates) {
-      replica_status = ApplyToGraph(&graph_, update);
-      if (!replica_status.ok()) break;
-    }
-    if (!replica_status.ok()) {
-      fail(replica_status);
-      return;
-    }
-    // Even a fully coalesced-away batch replicates: shard epochs and
-    // stream positions must advance in lockstep with the coordinator's,
-    // or the shards' WALs would replay to different positions. The
-    // window push and the standby feed happen before the shard fan-out.
-    PushWindowAndReplicate(WindowEntry{epoch, position, batch.updates});
-    const std::size_t joining_index =
-        migration_.active ? migration_.joining : shards_.size();
-    std::vector<BcScores> partials(shards_.size());
-    UpdateStats totals;
-    const Status replicated =
-        ReplicateBatch(epoch, position, batch.updates, &partials, &totals);
-    if (!replicated.ok()) {
-      fail(replicated);
-      return;
-    }
-    if (migration_.active && !migration_.joining_status.ok()) {
-      AbortMigration(migration_.joining_status);
-    }
-    if (joining_index < partials.size()) {
-      // Until the commit the donor still owns the full range; merging
-      // the recipient's double-applied partial would count the migrated
-      // sources twice.
-      partials.erase(partials.begin() +
-                     static_cast<std::ptrdiff_t>(joining_index));
-    }
-    BcScores& merged = MergePartials(&partials);
-    snapshots_.Publish(BuildSnapshot(graph_, merged, epoch, position,
-                                     options_.top_k,
-                                     options_.snapshot_edge_scores));
-    const double now = SteadyNowSeconds();
-    for (double& stamp : batch.enqueue_seconds) stamp = now - stamp;
-    metrics_.RecordBatch(batch.updates.size(),
-                         batch.consumed - batch.updates.size(),
-                         now - batch_start, batch.enqueue_seconds, epoch,
-                         position, totals.sources_total,
-                         totals.sources_prefiltered, totals.msbfs_batches,
-                         totals.bottom_up_levels);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      final_epoch_ = epoch;
-      final_position_ = position;
-      published_position_.store(position, std::memory_order_release);
-      RefreshShardStatusLocked();
-    }
-    publish_cv_.notify_all();
-    MaybeCommitMigration(/*idle=*/false);
+Status ClusterCoordinator::Apply(std::uint64_t epoch, std::uint64_t position,
+                                 std::span<const EdgeUpdate> updates,
+                                 UpdateStats* counters) {
+  // Validate against + advance the replica first: a poison batch (one the
+  // engine deterministically rejects) dies here, on the coordinator,
+  // before any shard ever sees its epoch.
+  for (const EdgeUpdate& update : updates) {
+    SOBC_RETURN_NOT_OK(ApplyToGraph(&graph_, update));
   }
+  // Even a fully coalesced-away batch replicates: shard epochs and stream
+  // positions must advance in lockstep with the coordinator's, or the
+  // shards' WALs would replay to different positions. The window push and
+  // the standby feed happen before the shard fan-out.
+  PushWindowAndReplicate(WindowEntry{
+      epoch, position, std::vector<EdgeUpdate>(updates.begin(), updates.end())});
+  const std::size_t joining_index =
+      migration_.active ? migration_.joining : shards_.size();
+  partials_.assign(shards_.size(), BcScores{});
+  SOBC_RETURN_NOT_OK(
+      ReplicateBatch(epoch, position, updates, &partials_, counters));
+  if (migration_.active && !migration_.joining_status.ok()) {
+    AbortMigration(migration_.joining_status);
+  }
+  if (joining_index < partials_.size()) {
+    // Until the commit the donor still owns the full range; merging the
+    // recipient's double-applied partial would count the migrated sources
+    // twice.
+    partials_.erase(partials_.begin() +
+                    static_cast<std::ptrdiff_t>(joining_index));
+  }
+  MergePartials();
+  std::lock_guard<std::mutex> lock(mu_);
+  RefreshShardStatusLocked();
+  return Status::OK();
+}
+
+std::shared_ptr<const ScoreSnapshot> ClusterCoordinator::Snapshot(
+    std::uint64_t epoch, std::uint64_t position) {
+  return BuildSnapshot(graph_, partials_[0], epoch, position, options_.top_k,
+                       options_.snapshot_edge_scores);
+}
+
+Status ClusterCoordinator::AfterPublish(std::uint64_t /*epoch*/,
+                                        std::uint64_t /*position*/,
+                                        std::uint64_t /*consumed*/) {
+  MaybeCommitMigration(/*idle=*/false);
+  return Status::OK();
+}
+
+void ClusterCoordinator::AtBoundary(std::uint64_t epoch,
+                                    std::uint64_t position, bool idle) {
+  // Rebalance requests run on the writer, between batches, so the shard
+  // roster and map version only ever change at a batch boundary.
+  RunPendingControl(epoch, position);
+  if (idle) MaybeCommitMigration(/*idle=*/true);
+}
+
+void ClusterCoordinator::OnWriterExit(const Status& status) {
   if (migration_.active) {
-    AbortMigration(Status::FailedPrecondition(
-        "coordinator stopped before the migration committed"));
+    AbortMigration(status.ok()
+                       ? Status::FailedPrecondition(
+                             "coordinator stopped before the migration "
+                             "committed")
+                       : status);
   }
-  FailPendingControl(Status::FailedPrecondition(
-      "coordinator stopped before the rebalance ran"));
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    writer_done_ = true;
-  }
-  publish_cv_.notify_all();
+  FailPendingControl(
+      status.ok() ? Status::FailedPrecondition(
+                        "coordinator stopped before the rebalance ran")
+                  : status);
 }
 
 Status ClusterCoordinator::SplitShard(std::size_t donor_index,
@@ -1190,62 +1094,29 @@ Status ClusterCoordinator::SplitShard(std::size_t donor_index,
   request.kind = ControlRequest::Kind::kSplit;
   request.index = donor_index;
   request.recipient_address = recipient_address;
-  const Role current = role();
-  if (current != Role::kPrimary && current != Role::kStandbyActive) {
-    return Status::FailedPrecondition(
-        "only the active coordinator can rebalance");
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopped_ || writer_done_) {
-      return Status::FailedPrecondition("coordinator is stopped");
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(control_mu_);
-    if (pending_control_ != nullptr) {
-      return Status::FailedPrecondition(
-          "another rebalance is already in progress");
-    }
-    pending_control_ = &request;
-  }
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(control_mu_);
-      if (control_cv_.wait_for(lock, std::chrono::milliseconds(100),
-                               [&] { return request.done; })) {
-        return request.result;
-      }
-    }
-    bool dead;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      dead = writer_done_;
-    }
-    if (dead) {
-      std::lock_guard<std::mutex> lock(control_mu_);
-      if (request.done) return request.result;
-      if (pending_control_ == &request) pending_control_ = nullptr;
-      return Status::FailedPrecondition(
-          "coordinator writer exited before the rebalance ran");
-    }
-  }
+  return RunControl(&request);
 }
 
 Status ClusterCoordinator::MergeShards(std::size_t left_index) {
   ControlRequest request;
   request.kind = ControlRequest::Kind::kMerge;
   request.index = left_index;
+  return RunControl(&request);
+}
+
+Status ClusterCoordinator::RunControl(ControlRequest* request) {
   const Role current = role();
   if (current != Role::kPrimary && current != Role::kStandbyActive) {
     return Status::FailedPrecondition(
         "only the active coordinator can rebalance");
   }
+  bool stopped = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (stopped_ || writer_done_) {
-      return Status::FailedPrecondition("coordinator is stopped");
-    }
+    stopped = stopped_;
+  }
+  if (stopped || writer_done()) {
+    return Status::FailedPrecondition("coordinator is stopped");
   }
   {
     std::lock_guard<std::mutex> lock(control_mu_);
@@ -1253,25 +1124,20 @@ Status ClusterCoordinator::MergeShards(std::size_t left_index) {
       return Status::FailedPrecondition(
           "another rebalance is already in progress");
     }
-    pending_control_ = &request;
+    pending_control_ = request;
   }
   for (;;) {
     {
       std::unique_lock<std::mutex> lock(control_mu_);
       if (control_cv_.wait_for(lock, std::chrono::milliseconds(100),
-                               [&] { return request.done; })) {
-        return request.result;
+                               [&] { return request->done; })) {
+        return request->result;
       }
     }
-    bool dead;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      dead = writer_done_;
-    }
-    if (dead) {
+    if (writer_done()) {
       std::lock_guard<std::mutex> lock(control_mu_);
-      if (request.done) return request.result;
-      if (pending_control_ == &request) pending_control_ = nullptr;
+      if (request->done) return request->result;
+      if (pending_control_ == request) pending_control_ = nullptr;
       return Status::FailedPrecondition(
           "coordinator writer exited before the rebalance ran");
     }
@@ -1387,12 +1253,7 @@ Status ClusterCoordinator::BeginSplit(ControlRequest* request,
         std::to_string(hello->map_version) + ")");
   }
   // One fetch to pin its stream position to the cut point.
-  SOBC_RETURN_NOT_OK((*conn)->SendFrame(EncodeFetch()));
-  std::string payload;
-  SOBC_RETURN_NOT_OK(RecvExpect(conn->get(), MsgType::kPartial,
-                                options_.shard_ack_timeout_seconds,
-                                &payload));
-  auto partial = DecodePartial(payload);
+  auto partial = FetchPartial(conn->get(), options_.shard_ack_timeout_seconds);
   SOBC_RETURN_NOT_OK(partial.status());
   if (partial->epoch != epoch || partial->stream_position != position) {
     return Status::Internal("migration recipient " +
@@ -1570,129 +1431,57 @@ void ClusterCoordinator::FailPendingControl(const Status& why) {
   control_cv_.notify_all();
 }
 
-Status ClusterCoordinator::Drain() {
-  const Role current = role();
-  if (current != Role::kPrimary && current != Role::kStandbyActive) {
-    return Status::FailedPrecondition(
-        "standby has not taken over; nothing to drain");
-  }
-  const std::uint64_t target = base_position_ + queue_.stats().received;
-  std::unique_lock<std::mutex> lock(mu_);
-  publish_cv_.wait(lock, [&] {
-    return writer_done_ || !writer_status_.ok() ||
-           published_position_.load(std::memory_order_acquire) >= target;
-  });
-  if (!writer_status_.ok()) return writer_status_;
-  if (published_position_.load(std::memory_order_acquire) >= target) {
-    return Status::OK();
-  }
-  return Status::FailedPrecondition(
-      "coordinator writer exited before draining every accepted update");
-}
+Status ClusterCoordinator::Stop() { return Shutdown(/*clean=*/true); }
 
-Status ClusterCoordinator::Stop() {
+void ClusterCoordinator::Halt() { (void)Shutdown(/*clean=*/false); }
+
+Status ClusterCoordinator::Shutdown(bool clean) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (stopped_) return writer_status_;
+    if (stopped_) return WriterPipeline::Stop();
     stopped_ = true;
   }
-  queue_.Close();
   tail_stop_.store(true, std::memory_order_release);
   // The tail may be mid-takeover (it starts the writer): join it before
-  // the writer so writer_ is stable.
+  // the writer so the writer thread is stable.
   if (tail_thread_.joinable()) tail_thread_.join();
-  if (writer_.joinable()) writer_.join();
+  if (!clean) Abandon();
+  const Status status = WriterPipeline::Stop();
   acceptor_stop_.store(true, std::memory_order_release);
   if (standby_acceptor_.joinable()) standby_acceptor_.join();
-  {
-    std::lock_guard<std::mutex> lock(standby_mu_);
-    if (standby_conn_ != nullptr) {
-      // Clean handoff: the standby finishes instead of taking over.
-      if (standby_conn_->SendFrame(EncodeShutdown()).ok()) {
-        std::string payload;
-        (void)standby_conn_->RecvFrame(&payload, 1.0);
-      }
-      standby_conn_->Close();
-      standby_conn_.reset();
-      standby_attached_.store(0, std::memory_order_release);
-    }
-  }
   if (standby_listener_ != nullptr) standby_listener_->Close();
   if (primary_conn_ != nullptr) primary_conn_->Close();
-  FailPendingControl(Status::FailedPrecondition("coordinator stopped"));
-  // Clean cluster shutdown: every reachable shard gets kShutdown (its
-  // Wait() returns, its own Stop commits the final checkpoint). Best
-  // effort — a dead connection means the shard is already gone or its
-  // operator stops it directly.
-  for (Shard& shard : shards_) {
-    if (shard.conn == nullptr) continue;
-    if (shard.conn->SendFrame(EncodeShutdown()).ok()) {
+  // A clean stop sends kShutdown and awaits its ack: the standby finishes
+  // instead of taking over, and every reachable shard's Wait() returns
+  // (its own Stop commits the final checkpoint). Best effort — a dead
+  // connection means the peer is already gone. A halt sends nothing: the
+  // standby sees silence, its lease expires, and it takes over — the
+  // whole point of the drill.
+  const auto close = [clean](Connection* conn) {
+    if (clean && conn->SendFrame(EncodeShutdown()).ok()) {
       std::string payload;
-      (void)shard.conn->RecvFrame(&payload, 1.0);
+      (void)conn->RecvFrame(&payload, 1.0);
     }
-    shard.conn->Close();
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  return writer_status_;
-}
-
-void ClusterCoordinator::Halt() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopped_) return;
-    stopped_ = true;
-  }
-  halted_.store(true, std::memory_order_release);
-  queue_.Close();
-  tail_stop_.store(true, std::memory_order_release);
-  acceptor_stop_.store(true, std::memory_order_release);
-  if (tail_thread_.joinable()) tail_thread_.join();
-  if (writer_.joinable()) writer_.join();
-  if (standby_acceptor_.joinable()) standby_acceptor_.join();
-  if (standby_listener_ != nullptr) standby_listener_->Close();
+    conn->Close();
+  };
   {
     std::lock_guard<std::mutex> lock(standby_mu_);
     if (standby_conn_ != nullptr) {
-      // No shutdown frame: the standby sees silence, its lease expires,
-      // and it takes over — the whole point of the drill.
-      standby_conn_->Close();
+      close(standby_conn_.get());
       standby_conn_.reset();
       standby_attached_.store(0, std::memory_order_release);
     }
   }
+  FailPendingControl(Status::FailedPrecondition(
+      clean ? "coordinator stopped" : "coordinator halted"));
   for (Shard& shard : shards_) {
-    if (shard.conn != nullptr) shard.conn->Close();
+    if (shard.conn != nullptr) close(shard.conn.get());
   }
-  if (primary_conn_ != nullptr) primary_conn_->Close();
-  FailPendingControl(Status::FailedPrecondition("coordinator halted"));
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    writer_done_ = true;
-  }
-  publish_cv_.notify_all();
+  return status;
 }
 
 ServeMetricsSnapshot ClusterCoordinator::metrics() const {
-  ServeMetricsSnapshot snap = metrics_.Read();
-  const UpdateQueueStats queue_stats = queue_.stats();
-  snap.received = queue_stats.received;
-  snap.dropped = queue_stats.dropped;
-  const std::uint64_t received_absolute =
-      base_position_ + queue_stats.received;
-  snap.epoch_lag = received_absolute > snap.published_stream_position
-                       ? received_absolute - snap.published_stream_position
-                       : 0;
-  const ServiceHealth current_health = health();
-  snap.health_state = static_cast<std::uint64_t>(current_health);
-  snap.health = ServiceHealthName(current_health);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!health_error_.ok()) snap.last_error = health_error_.ToString();
-  }
-  const IoCounters io = ReadIoCounters();
-  snap.io_retries = io.retries;
-  snap.io_retries_exhausted = io.retries_exhausted;
-  snap.io_faults_injected = io.faults_injected;
+  ServeMetricsSnapshot snap = WriterPipeline::metrics();
   snap.failovers = failovers_.load(std::memory_order_relaxed);
   snap.failover_gap_seconds =
       failover_gap_seconds_.load(std::memory_order_relaxed);
@@ -1707,27 +1496,6 @@ ServeMetricsSnapshot ClusterCoordinator::metrics() const {
       migration_lag_batches_.load(std::memory_order_relaxed);
   snap.shard_map_version = map_version_.load(std::memory_order_relaxed);
   return snap;
-}
-
-void ClusterCoordinator::EnterDegraded(const Status& why) {
-  int expected = static_cast<int>(ServiceHealth::kHealthy);
-  if (!health_.compare_exchange_strong(
-          expected, static_cast<int>(ServiceHealth::kDegraded),
-          std::memory_order_acq_rel)) {
-    return;  // already degraded or read-only; first cause wins
-  }
-  // Same backpressure response as a degraded single-process service: the
-  // cluster's durability is reduced somewhere, so accept less in flight.
-  queue_.SetCapacity(std::max<std::size_t>(1, queue_.capacity() / 2));
-  std::lock_guard<std::mutex> lock(mu_);
-  health_error_ = why;
-}
-
-void ClusterCoordinator::EnterReadOnly(const Status& why) {
-  health_.store(static_cast<int>(ServiceHealth::kReadOnly),
-                std::memory_order_release);
-  std::lock_guard<std::mutex> lock(mu_);
-  health_error_ = why;
 }
 
 }  // namespace sobc

@@ -7,6 +7,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,10 +20,10 @@
 #include "graph/edge_stream.h"
 #include "graph/graph.h"
 #include "parallel/thread_pool.h"
-#include "server/bc_service.h"
 #include "server/score_snapshot.h"
 #include "server/serve_metrics.h"
 #include "server/update_queue.h"
+#include "server/writer_pipeline.h"
 
 namespace sobc {
 
@@ -93,12 +94,11 @@ struct ShardStatus {
   bool joining = false;
 };
 
-/// The cluster head (DESIGN.md §13): accepts the update stream through the
-/// same Submit/snapshot/Drain surface as BcService, but instead of an
-/// in-process engine it replicates every coalesced batch to every shard
-/// worker over the wire, collects per-shard cumulative score partials from
-/// the acks, merges them through the score_reduce tree, and publishes the
-/// merged epoch-stamped snapshot.
+/// The cluster head (DESIGN.md §13): runs the same writer pipeline as
+/// BcService (Submit/snapshot/Drain, the health ladder), but its apply
+/// backend replicates every coalesced batch to every shard worker over the
+/// wire, collects per-shard cumulative score partials from the acks, and
+/// merges them through the score_reduce tree into the published snapshot.
 ///
 /// Failure handling is the PR-6 health ladder stretched over the wire:
 /// a Degraded shard degrades the coordinator; a stalled or disconnected
@@ -117,7 +117,7 @@ struct ShardStatus {
 /// its own window, and resumes publication (WaitUntilActive). Live
 /// rebalancing (SplitShard/MergeShards) re-cuts the source partition
 /// under a versioned shard map without stopping the stream.
-class ClusterCoordinator {
+class ClusterCoordinator : private ApplyBackend, private WriterPipeline {
  public:
   /// Where this coordinator stands in the failover protocol. A Connect
   /// coordinator is kPrimary for life; a Standby one starts tailing and
@@ -157,25 +157,20 @@ class ClusterCoordinator {
   ClusterCoordinator(const ClusterCoordinator&) = delete;
   ClusterCoordinator& operator=(const ClusterCoordinator&) = delete;
 
-  /// Enqueues one update (any thread); same contract as BcService::Submit.
-  /// A standby rejects until its takeover completed.
-  bool Submit(const EdgeUpdate& update);
-  std::size_t SubmitAll(const EdgeStream& stream);
-
-  /// The latest published merged snapshot (wait-free; epoch-stamped).
-  /// Null on a standby that has not taken over — the store's empty
-  /// placeholder would masquerade as a real epoch-0 publication.
-  std::shared_ptr<const ScoreSnapshot> snapshot() const {
-    const Role role = role_.load(std::memory_order_acquire);
-    if (role != Role::kPrimary && role != Role::kStandbyActive) {
-      return nullptr;
-    }
-    return snapshots_.Acquire();
-  }
-
-  /// Blocks until everything accepted is replicated, acked by every
-  /// shard, merged, and published (or the writer failed).
-  Status Drain();
+  /// The writer pipeline's surface, as on BcService: Submit (refused on a
+  /// standby until its takeover completed), SubmitAll, Drain (everything
+  /// accepted is replicated, acked by every shard, merged and published),
+  /// the latest merged snapshot() (null on a standby that has not taken
+  /// over — an empty placeholder would masquerade as a real epoch-0
+  /// publication), final_epoch()/final_position(), health()/last_error().
+  using WriterPipeline::Drain;
+  using WriterPipeline::final_epoch;
+  using WriterPipeline::final_position;
+  using WriterPipeline::health;
+  using WriterPipeline::last_error;
+  using WriterPipeline::snapshot;
+  using WriterPipeline::Submit;
+  using WriterPipeline::SubmitAll;
 
   /// Stops accepting updates, drains, joins the writer, and sends every
   /// shard — and an attached standby — a clean shutdown (the standby
@@ -221,14 +216,7 @@ class ClusterCoordinator {
   /// shard. Single writer turn — atomic under the map-version bump.
   Status MergeShards(std::size_t left_index);
 
-  std::uint64_t final_epoch() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return final_epoch_;
-  }
-  std::uint64_t final_position() const {
-    return published_position_.load(std::memory_order_acquire);
-  }
-
+  /// The pipeline's metrics plus the cluster-plane counters.
   ServeMetricsSnapshot metrics() const;
   /// Wire-side view of every shard (address, range, epoch, health,
   /// reconnect/resend counters), coherent as of the last published batch.
@@ -236,15 +224,6 @@ class ClusterCoordinator {
   std::size_t num_shards() const {
     std::lock_guard<std::mutex> lock(mu_);
     return shard_status_.size();
-  }
-
-  ServiceHealth health() const {
-    return static_cast<ServiceHealth>(
-        health_.load(std::memory_order_acquire));
-  }
-  Status last_error() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return health_error_;
   }
 
  private:
@@ -302,7 +281,23 @@ class ClusterCoordinator {
   static Result<HelloAckMsg> Handshake(Connection* conn, const Graph& graph,
                                        double timeout_seconds);
 
-  void WriterLoop();
+  // The replicated ApplyBackend. Apply validates the batch against and
+  // advances the replica (a poison batch dies here, before any shard sees
+  // its epoch), pushes it to the window and standby feed, fans it out,
+  // and merges the non-joining partials. Rebalance control runs at batch
+  // boundaries and the migration commit after each publish or idle tick;
+  // the writer's exit aborts both.
+  Status Apply(std::uint64_t epoch, std::uint64_t position,
+               std::span<const EdgeUpdate> updates,
+               UpdateStats* counters) override;
+  std::shared_ptr<const ScoreSnapshot> Snapshot(
+      std::uint64_t epoch, std::uint64_t position) override;
+  Status AfterPublish(std::uint64_t epoch, std::uint64_t position,
+                      std::uint64_t consumed) override;
+  void AtBoundary(std::uint64_t epoch, std::uint64_t position,
+                  bool idle) override;
+  void OnWriterExit(const Status& status) override;
+
   /// Replicates one batch (already applied to the replica graph, pushed
   /// to the window, and shipped to the standby) to every shard and
   /// collects acked partials into `partials` and the acks' source and
@@ -311,19 +306,29 @@ class ClusterCoordinator {
   /// comes back as the status. A failing JOINING shard never fails the
   /// batch — it aborts the migration (migration_.joining_status).
   Status ReplicateBatch(std::uint64_t epoch, std::uint64_t stream_position,
-                        const std::vector<EdgeUpdate>& updates,
+                        std::span<const EdgeUpdate> updates,
                         std::vector<BcScores>* partials, UpdateStats* totals);
   /// Bounded-retry recovery of one shard to `target_epoch`: reconnect,
   /// re-handshake, resend the missed window epochs (the shard dedupes
   /// duplicates), and return the ack of the target epoch.
   Status RecoverShard(Shard* shard, std::uint64_t target_epoch,
                       ApplyAckMsg* final_ack);
+  /// Resends window epochs (after_epoch, through_epoch] to a rejoining
+  /// shard, one Apply/ApplyAck round trip each, counting them on `shard`;
+  /// `ack` ends as the last ack. Stops early (OK) at an ack the shard
+  /// refused (ack->ok false); transport and decode failures are the
+  /// status. The caller checks the window covers the range.
+  Status ResendWindow(Connection* conn, std::uint64_t after_epoch,
+                      std::uint64_t through_epoch, Shard* shard,
+                      ApplyAckMsg* ack);
   /// Processes an ack's health byte: Degraded shard -> Degraded
   /// coordinator; ReadOnly shard -> terminal error (returned).
   Status PropagateShardHealth(const Shard& shard, std::uint8_t health);
-  /// Merges per-shard partials through the score_reduce tree into
-  /// partials[0] (mutating the vector) and returns a reference to it.
-  BcScores& MergePartials(std::vector<BcScores>* partials);
+  /// Bring-up and takeover: sizes the merge pool for shards_, merges the
+  /// fetched partials_, and publishes (epoch, position) as the base.
+  void BringUp(std::uint64_t epoch, std::uint64_t position);
+  /// Merges partials_ through the score_reduce tree into partials_[0].
+  void MergePartials();
 
   /// --- standby feed (primary side; acceptor thread) ---
   void StandbyAcceptorLoop();
@@ -333,8 +338,9 @@ class ClusterCoordinator {
   void ServeStandby(std::unique_ptr<Connection> conn);
   /// Ships one window entry over the feed and awaits its ack.
   Status ReplicateEntryTo(Connection* conn, const WindowEntry& entry);
-  /// Writer-side: pushes the batch into the window (trimming) and ships
-  /// it to the attached standby, detaching the standby on failure.
+  /// Pushes the batch into the window (trimming) and ships it to an
+  /// attached standby, detaching the standby on failure. The batch-stream
+  /// owner calls it: the writer, or a standby's tail before takeover.
   void PushWindowAndReplicate(WindowEntry entry);
 
   /// --- standby side (tail thread) ---
@@ -351,6 +357,8 @@ class ClusterCoordinator {
   void FailStandby(const Status& why);
 
   /// --- rebalance (writer thread) ---
+  /// Parks `request` for the writer and blocks until it completes.
+  Status RunControl(ControlRequest* request);
   void RunPendingControl(std::uint64_t epoch, std::uint64_t position);
   Status BeginSplit(ControlRequest* request, std::uint64_t epoch,
                     std::uint64_t position);
@@ -368,8 +376,9 @@ class ClusterCoordinator {
   Status ControlRoundTrip(Connection* conn, const std::string& frame,
                           ReplicateAckMsg* ack);
 
-  void EnterDegraded(const Status& why);
-  void EnterReadOnly(const Status& why);
+  /// Stop (clean) and Halt: joins the tail and the writer (draining the
+  /// queue only when clean), then closes the standby feed and the roster.
+  Status Shutdown(bool clean);
   /// Rebuilds shard_status_ from shards_ (mu_ held).
   void RefreshShardStatusLocked();
 
@@ -382,10 +391,9 @@ class ClusterCoordinator {
   Transport* transport_ = nullptr;
   std::vector<Shard> shards_;
   std::unique_ptr<ThreadPool> merge_pool_;
-
-  UpdateQueue queue_;
-  SnapshotStore snapshots_;
-  ServeMetrics metrics_;
+  /// Per-shard partials of the batch in flight (writer-owned); after
+  /// MergePartials, partials_[0] is the merged map the snapshot reads.
+  std::vector<BcScores> partials_;
 
   /// Replay window: contiguous epochs, bounded by
   /// options_.replay_window_batches. Mutated only by the batch-stream
@@ -394,28 +402,22 @@ class ClusterCoordinator {
   /// holds standby_mu_.
   std::deque<WindowEntry> window_;
 
+  /// Where a standby's bootstrap starts: this coordinator's bring-up (or
+  /// takeover) epoch and position.
   std::uint64_t base_epoch_ = 0;
   std::uint64_t base_position_ = 0;
-  std::atomic<std::uint64_t> published_position_{0};
   /// Graph signature at bring-up, carried by the standby bootstrap frame
   /// (the standby's replica must equal the primary's bring-up replica).
   std::uint64_t boot_vertices_ = 0;
   std::uint64_t boot_edges_ = 0;
   bool boot_directed_ = false;
 
-  mutable std::mutex mu_;  // writer_status_, final_*, shard status copy
-  std::condition_variable publish_cv_;
-  Status writer_status_;
-  bool writer_done_ = false;
+  mutable std::mutex mu_;  // stopped_, role waits, shard status copy
+  std::condition_variable role_cv_;
   bool stopped_ = false;
-  std::uint64_t final_epoch_ = 0;
-  std::uint64_t final_position_ = 0;
   /// Coherent copy of shards_ wire state for shard_status(), refreshed by
   /// the writer after each batch (shards_ itself is writer-owned).
   std::vector<ShardStatus> shard_status_;
-
-  std::atomic<int> health_{static_cast<int>(ServiceHealth::kHealthy)};
-  Status health_error_;
 
   /// --- standby feed state (primary) ---
   std::unique_ptr<Listener> standby_listener_;
@@ -445,8 +447,6 @@ class ClusterCoordinator {
   std::uint64_t map_version_plain_ = 1;
   std::atomic<std::uint64_t> map_version_{0};
 
-  std::atomic<bool> halted_{false};
-
   /// --- cluster-plane metrics ---
   std::atomic<std::uint64_t> failovers_{0};
   std::atomic<double> failover_gap_seconds_{0.0};
@@ -455,8 +455,6 @@ class ClusterCoordinator {
   std::atomic<std::uint64_t> migrations_started_{0};
   std::atomic<std::uint64_t> migrations_completed_{0};
   std::atomic<std::uint64_t> migration_lag_batches_{0};
-
-  std::thread writer_;
 };
 
 }  // namespace sobc

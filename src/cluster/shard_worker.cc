@@ -131,12 +131,15 @@ ApplyAckMsg ShardWorker::HandleApply(const ApplyMsg& msg) {
     return ack;
   }
   // Success (including an idempotent duplicate): the cumulative partial
-  // is the merge input either way.
-  const UpdateStats& stats = service_->framework()->last_update_stats();
-  ack.sources_total = stats.sources_total;
-  ack.sources_prefiltered = stats.sources_prefiltered;
-  ack.msbfs_batches = stats.msbfs_batches;
-  ack.bottom_up_levels = stats.bottom_up_levels;
+  // is the merge input either way. The counters are the engine's last
+  // apply, which an empty (coalesced-away) batch never ran.
+  if (!msg.updates.empty()) {
+    const UpdateStats& stats = service_->framework()->last_update_stats();
+    ack.sources_total = stats.sources_total;
+    ack.sources_prefiltered = stats.sources_prefiltered;
+    ack.msbfs_batches = stats.msbfs_batches;
+    ack.bottom_up_levels = stats.bottom_up_levels;
+  }
   ack.partial = service_->framework()->scores();
   return ack;
 }

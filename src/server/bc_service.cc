@@ -1,7 +1,6 @@
 #include "server/bc_service.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
 #include <utility>
 
@@ -42,21 +41,13 @@ SnapshotEstimateInfo EstimateInfoOf(const DynamicBc& bc) {
 
 }  // namespace
 
-const char* ServiceHealthName(ServiceHealth health) {
-  switch (health) {
-    case ServiceHealth::kHealthy:
-      return "healthy";
-    case ServiceHealth::kDegraded:
-      return "degraded";
-    case ServiceHealth::kReadOnly:
-      return "readonly";
-  }
-  return "healthy";
-}
-
 BcService::BcService(std::unique_ptr<DynamicBc> bc,
                      const BcServiceOptions& options)
-    : options_(options), bc_(std::move(bc)), queue_(options.queue) {}
+    : WriterPipeline(options.queue, this,
+                     options.writer_stall_timeout_seconds,
+                     options.writer_batch_hook),
+      options_(options),
+      bc_(std::move(bc)) {}
 
 Result<std::unique_ptr<BcService>> BcService::Create(
     Graph graph, const BcServiceOptions& options) {
@@ -81,23 +72,6 @@ Result<std::unique_ptr<BcService>> BcService::Create(
   }
   auto service = std::unique_ptr<BcService>(
       new BcService(std::move(*bc), resolved));
-  // The base epoch (0 for a fresh deployment, the donor's cut for a
-  // migration recipient): the Step-1 scores are queryable before any
-  // update arrives, and before the writer exists — no publication ever
-  // races with it.
-  service->base_epoch_ = resolved.replicated_base_epoch;
-  service->base_position_ = resolved.replicated_base_position;
-  service->final_epoch_ = resolved.replicated_base_epoch;
-  service->final_position_ = resolved.replicated_base_position;
-  service->published_position_.store(resolved.replicated_base_position,
-                                     std::memory_order_release);
-  service->metrics_.SeedPublication(resolved.replicated_base_epoch,
-                                    resolved.replicated_base_position);
-  service->snapshots_.Publish(BuildSnapshot(
-      service->bc_->graph(), service->bc_->scores(),
-      resolved.replicated_base_epoch, resolved.replicated_base_position,
-      resolved.top_k, resolved.snapshot_edge_scores,
-      EstimateInfoOf(*service->bc_)));
   if (resolved.durability.enabled()) {
     // Refuse pre-existing durable state in either directory: a log is
     // Recover's job, and stale higher-epoch manifests from a previous
@@ -109,17 +83,12 @@ Result<std::unique_ptr<BcService>> BcService::Create(
           "wal dir " + resolved.durability.wal_dir +
           " already holds a log; Recover it or point at a fresh directory");
     }
-    SOBC_RETURN_NOT_OK(service->StartDurability(
-        resolved.replicated_base_epoch + 1, /*initial_checkpoint=*/true));
   }
-  if (!resolved.replicated) {
-    if (resolved.writer_stall_timeout_seconds > 0) {
-      service->watchdog_ =
-          std::thread([raw = service.get()] { raw->WatchdogLoop(); });
-    }
-    service->writer_ =
-        std::thread([raw = service.get()] { raw->WriterLoop(); });
-  }
+  // The base epoch is 0 for a fresh deployment, the donor's cut for a
+  // migration recipient.
+  SOBC_RETURN_NOT_OK(service->BringUp(resolved.replicated_base_epoch,
+                                      resolved.replicated_base_position,
+                                      /*initial_checkpoint=*/true));
   return service;
 }
 
@@ -256,76 +225,24 @@ Result<std::unique_ptr<BcService>> BcService::Recover(
 
   auto service = std::unique_ptr<BcService>(
       new BcService(std::move(bc), resolved));
-  service->base_epoch_ = epoch;
-  service->base_position_ = position;
-  service->final_epoch_ = epoch;
-  service->final_position_ = position;
-  service->published_position_.store(position, std::memory_order_release);
-  service->metrics_.SeedPublication(epoch, position);
-  service->snapshots_.Publish(BuildSnapshot(
-      service->bc_->graph(), service->bc_->scores(), epoch, position,
-      resolved.top_k, resolved.snapshot_edge_scores,
-      EstimateInfoOf(*service->bc_)));
   // New appends land in a fresh segment starting right after the
   // recovered epoch; the replayed segments stay until a checkpoint covers
   // them (a second crash before then replays the same tail again).
   SOBC_RETURN_NOT_OK(
-      service->StartDurability(epoch + 1, /*initial_checkpoint=*/false));
-  if (!resolved.replicated) {
-    if (resolved.writer_stall_timeout_seconds > 0) {
-      service->watchdog_ =
-          std::thread([raw = service.get()] { raw->WatchdogLoop(); });
-    }
-    service->writer_ =
-        std::thread([raw = service.get()] { raw->WriterLoop(); });
-  }
+      service->BringUp(epoch, position, /*initial_checkpoint=*/false));
   return service;
 }
 
-void BcService::EnterDegraded(const Status& why) {
-  int expected = static_cast<int>(ServiceHealth::kHealthy);
-  if (!health_.compare_exchange_strong(
-          expected, static_cast<int>(ServiceHealth::kDegraded),
-          std::memory_order_acq_rel)) {
-    return;  // already degraded or read-only; first cause wins
+Status BcService::BringUp(std::uint64_t epoch, std::uint64_t position,
+                          bool initial_checkpoint) {
+  // The starting scores are queryable before any update arrives, and
+  // before the writer exists — no publication ever races with it.
+  Publish(Snapshot(epoch, position), epoch, position);
+  if (options_.durability.enabled()) {
+    SOBC_RETURN_NOT_OK(StartDurability(epoch + 1, initial_checkpoint));
   }
-  checkpoints_suspended_.store(true, std::memory_order_release);
-  // Less durability, less exposure: with checkpoints gone the WAL tail is
-  // all the recovery there is, so let backpressure bite earlier.
-  queue_.SetCapacity(std::max<std::size_t>(1, queue_.capacity() / 2));
-  std::lock_guard<std::mutex> lock(mu_);
-  health_error_ = why;
-}
-
-void BcService::EnterReadOnly(const Status& why) {
-  health_.store(static_cast<int>(ServiceHealth::kReadOnly),
-                std::memory_order_release);
-  std::lock_guard<std::mutex> lock(mu_);
-  // The terminal error supersedes a degraded-mode cause.
-  health_error_ = why;
-}
-
-void BcService::WatchdogLoop() {
-  const double timeout = options_.writer_stall_timeout_seconds;
-  const auto poll =
-      std::chrono::duration<double>(std::clamp(timeout / 4.0, 0.001, 0.05));
-  std::unique_lock<std::mutex> lock(watchdog_mu_);
-  while (!watchdog_stop_) {
-    watchdog_cv_.wait_for(lock, poll, [this] { return watchdog_stop_; });
-    if (watchdog_stop_) break;
-    const double started = batch_started_.load(std::memory_order_relaxed);
-    const bool stalled =
-        started > 0.0 && SteadyNowSeconds() - started >= timeout;
-    if (stalled != writer_stalled_.load(std::memory_order_relaxed)) {
-      {
-        // Under mu_ so a Drain caller between predicate and sleep cannot
-        // miss the flag flip.
-        std::lock_guard<std::mutex> guard(mu_);
-        writer_stalled_.store(stalled, std::memory_order_release);
-      }
-      publish_cv_.notify_all();
-    }
-  }
+  if (!options_.replicated) Start();
+  return Status::OK();
 }
 
 Status BcService::StartDurability(std::uint64_t next_epoch,
@@ -354,7 +271,7 @@ Status BcService::StartDurability(std::uint64_t next_epoch,
     // BEFORE the first WAL segment exists: a crash between the two leaves
     // state both Create (segments present) and Recover (no manifest)
     // would refuse. Committed synchronously, in the safe order.
-    auto job = CaptureCheckpointJob(base_epoch_, base_position_);
+    auto job = CaptureCheckpointJob(final_epoch(), final_position());
     if (!job.ok()) return job.status();
     SOBC_RETURN_NOT_OK(checkpointer_->WriteNow(std::move(*job)));
   }
@@ -434,25 +351,8 @@ Status BcService::MaybeCheckpoint(std::uint64_t epoch,
 
 BcService::~BcService() { (void)Stop(); }
 
-bool BcService::Submit(const EdgeUpdate& update) {
-  // A replicated shard has no writer draining the queue: every batch
-  // arrives from the coordinator through ApplyReplicatedBatch.
-  if (options_.replicated) return false;
-  // Fail fast once the writer is dead: no producer should block (or even
-  // take the queue lock chain) to learn the service is read-only.
-  if (health() == ServiceHealth::kReadOnly) return false;
-  return queue_.Push(update);
-}
-
 ServeMetricsSnapshot BcService::metrics() const {
-  ServeMetricsSnapshot snap = metrics_.Read();
-  const UpdateQueueStats queue_stats = queue_.stats();
-  snap.received = queue_stats.received;
-  snap.dropped = queue_stats.dropped;
-  const std::uint64_t received_absolute = base_position_ + queue_stats.received;
-  snap.epoch_lag = received_absolute > snap.published_stream_position
-                       ? received_absolute - snap.published_stream_position
-                       : 0;
+  ServeMetricsSnapshot snap = WriterPipeline::metrics();
   if (wal_ != nullptr) {
     const WalStats wal_stats = wal_->stats();
     snap.wal_appends = wal_stats.appends;
@@ -470,141 +370,61 @@ ServeMetricsSnapshot BcService::metrics() const {
     snap.last_checkpoint_epoch = checkpoint_stats.last_epoch;
     snap.checkpoint_write_seconds = checkpoint_stats.write_seconds_total;
   }
-  const ServiceHealth current_health = health();
-  snap.health_state = static_cast<std::uint64_t>(current_health);
-  snap.health = ServiceHealthName(current_health);
-  snap.checkpoints_suspended =
-      checkpoints_suspended_.load(std::memory_order_acquire) ? 1 : 0;
-  snap.writer_stalled =
-      writer_stalled_.load(std::memory_order_acquire) ? 1 : 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!health_error_.ok()) snap.last_error = health_error_.ToString();
-  }
-  const IoCounters io = ReadIoCounters();
-  snap.io_retries = io.retries;
-  snap.io_retries_exhausted = io.retries_exhausted;
-  snap.io_faults_injected = io.faults_injected;
   return snap;
 }
 
-std::size_t BcService::SubmitAll(const EdgeStream& stream) {
-  std::size_t accepted = 0;
-  for (const EdgeUpdate& update : stream) {
-    if (Submit(update)) ++accepted;
-  }
-  return accepted;
-}
-
-void BcService::WriterLoop() {
-  std::uint64_t position = base_position_;
-  std::uint64_t epoch = base_epoch_;
-  DrainedBatch batch;
-  auto fail = [this](Status st) {
-    // Terminal: publishables stop here. The service goes ReadOnly, the
-    // queue closes so blocked producers unblock, and Drain/Stop report.
-    queue_.Close();
-    EnterReadOnly(st);
-    batch_started_.store(0.0, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(mu_);
-    writer_status_ = std::move(st);
-    writer_done_ = true;
-    publish_cv_.notify_all();
-  };
-  while (queue_.PopBatch(&batch)) {
-    // Stamp before the hook: a hook that stalls (the watchdog tests) must
-    // count against the batch it delays.
-    batch_started_.store(SteadyNowSeconds(), std::memory_order_relaxed);
-    if (options_.writer_batch_hook) options_.writer_batch_hook();
-    if (wal_ != nullptr) {
-      // Log-before-apply: by the time any effect of this batch can exist
-      // (in memory or in the BD store file), the batch itself is already
-      // recoverable. An empty coalesced-away batch still logs — replay
-      // must reproduce its epoch and position.
-      if (Status st = wal_->Append(epoch + 1, position + batch.consumed,
-                                   batch.updates);
-          !st.ok()) {
-        fail(std::move(st));
-        return;
-      }
-      if (options_.durability.kill_after_appends > 0 &&
-          wal_->stats().appends >= options_.durability.kill_after_appends) {
-        // Crash injection (tests, CI recovery smoke): die hard with the
-        // logged batch never applied — the worst legal crash point.
-        (void)wal_->Sync();
-        std::_Exit(137);
-      }
-    }
-    WallTimer apply_timer;
-    Status st = batch.updates.empty()
-                    ? Status::OK()
-                    : bc_->ApplyBatch(batch.updates);
-    const double apply_seconds = apply_timer.Seconds();
-    if (!st.ok()) {
-      fail(std::move(st));
-      return;
-    }
-    position += batch.consumed;
-    ++epoch;
-    if (Status commit =
-            CommitBatch(epoch, position, batch.updates.size(), batch.consumed,
-                        apply_seconds, &batch.enqueue_seconds);
-        !commit.ok()) {
-      fail(std::move(commit));
-      return;
-    }
-    batch_started_.store(0.0, std::memory_order_relaxed);
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  writer_done_ = true;
-  publish_cv_.notify_all();
-}
-
-Status BcService::CommitBatch(std::uint64_t epoch, std::uint64_t position,
-                              std::size_t applied, std::uint64_t consumed,
-                              double apply_seconds,
-                              std::vector<double>* latencies) {
-  snapshots_.Publish(BuildSnapshot(bc_->graph(), bc_->scores(), epoch,
-                                   position, options_.top_k,
-                                   options_.snapshot_edge_scores,
-                                   EstimateInfoOf(*bc_)));
-  // Latency is submit-to-publish: the moment a consumed update's effect
-  // (possibly "no effect", for coalesced churn) became readable.
-  const double now = SteadyNowSeconds();
-  for (double& t : *latencies) t = now - t;
-  const UpdateStats& update_stats = bc_->last_update_stats();
-  metrics_.RecordBatch(applied, consumed - applied, apply_seconds, *latencies,
-                       epoch, position, update_stats.sources_total,
-                       update_stats.sources_prefiltered,
-                       update_stats.msbfs_batches,
-                       update_stats.bottom_up_levels);
-  if (bc_->approx()) {
-    const ApproxStatus approx = bc_->approx_status();
-    metrics_.RecordApprox(approx.num_samples, approx.sample_epoch,
-                          approx.resample_rounds, approx.source_swaps,
-                          approx.drift);
-  }
-  {
-    // The store must happen under mu_ so a Drain caller between its
-    // predicate check and its sleep cannot miss this publication.
-    std::lock_guard<std::mutex> lock(mu_);
-    published_position_.store(position, std::memory_order_release);
-    final_epoch_ = epoch;
-    final_position_ = position;
-  }
-  publish_cv_.notify_all();
-  if (checkpointer_ != nullptr) {
-    // A background checkpoint that failed since the last batch degrades
-    // the service (checkpoints suspended, WAL-only) without killing it.
-    if (Status background = checkpointer_->PeekError(); !background.ok()) {
-      EnterDegraded(background);
-    }
-    if (!checkpoints_suspended_.load(std::memory_order_acquire)) {
-      updates_since_checkpoint_ += consumed;
-      SOBC_RETURN_NOT_OK(MaybeCheckpoint(epoch, position));
-    }
+Status BcService::Log(std::uint64_t epoch, std::uint64_t position,
+                      std::span<const EdgeUpdate> updates) {
+  if (wal_ == nullptr) return Status::OK();
+  // Log-before-apply: by the time any effect of this batch can exist (in
+  // memory or in the BD store file), the batch itself is already
+  // recoverable. An empty coalesced-away batch still logs — replay must
+  // reproduce its epoch and position.
+  SOBC_RETURN_NOT_OK(wal_->Append(epoch, position, updates));
+  if (options_.durability.kill_after_appends > 0 &&
+      wal_->stats().appends >= options_.durability.kill_after_appends) {
+    // Crash injection (tests, CI recovery smoke): die hard with the
+    // logged batch never applied — the worst legal crash point.
+    (void)wal_->Sync();
+    std::_Exit(137);
   }
   return Status::OK();
+}
+
+Status BcService::Apply(std::uint64_t /*epoch*/, std::uint64_t /*position*/,
+                        std::span<const EdgeUpdate> updates,
+                        UpdateStats* counters) {
+  if (!updates.empty()) {
+    SOBC_RETURN_NOT_OK(bc_->ApplyBatch(updates));
+    *counters = bc_->last_update_stats();
+  }
+  if (bc_->approx()) {
+    const ApproxStatus approx = bc_->approx_status();
+    serve_metrics().RecordApprox(approx.num_samples, approx.sample_epoch,
+                                 approx.resample_rounds, approx.source_swaps,
+                                 approx.drift);
+  }
+  return Status::OK();
+}
+
+std::shared_ptr<const ScoreSnapshot> BcService::Snapshot(
+    std::uint64_t epoch, std::uint64_t position) {
+  return BuildSnapshot(bc_->graph(), bc_->scores(), epoch, position,
+                       options_.top_k, options_.snapshot_edge_scores,
+                       EstimateInfoOf(*bc_));
+}
+
+Status BcService::AfterPublish(std::uint64_t epoch, std::uint64_t position,
+                               std::uint64_t consumed) {
+  if (checkpointer_ == nullptr) return Status::OK();
+  // A background checkpoint that failed since the last batch degrades
+  // the service (checkpoints suspended, WAL-only) without killing it.
+  if (Status background = checkpointer_->PeekError(); !background.ok()) {
+    EnterDegraded(background);
+  }
+  if (health() != ServiceHealth::kHealthy) return Status::OK();
+  updates_since_checkpoint_ += consumed;
+  return MaybeCheckpoint(epoch, position);
 }
 
 Status BcService::ApplyReplicatedBatch(std::uint64_t epoch,
@@ -619,11 +439,7 @@ Status BcService::ApplyReplicatedBatch(std::uint64_t epoch,
     return why.ok() ? Status::FailedPrecondition("shard is read-only")
                     : why;
   }
-  std::uint64_t current = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    current = final_epoch_;
-  }
+  const std::uint64_t current = final_epoch();
   // Exactly-once under coordinator retries: a redelivered epoch was fully
   // applied (and logged) before — acknowledging it again is the idempotent
   // half of the delivery argument (DESIGN.md §13).
@@ -634,50 +450,14 @@ Status BcService::ApplyReplicatedBatch(std::uint64_t epoch,
         " leaves a gap after " + std::to_string(current) +
         "; resend the missing epochs first");
   }
-  auto fail = [this](Status st) -> Status {
-    EnterReadOnly(st);
-    batch_started_.store(0.0, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(mu_);
-    writer_status_ = st;
-    writer_done_ = true;
-    publish_cv_.notify_all();
-    return st;
-  };
-  const double started = SteadyNowSeconds();
-  batch_started_.store(started, std::memory_order_relaxed);
-  if (options_.writer_batch_hook) options_.writer_batch_hook();
-  if (wal_ != nullptr) {
-    // Same log-before-apply discipline as the writer loop, under the
-    // coordinator's absolute epoch numbering.
-    if (Status st = wal_->Append(epoch, stream_position, updates); !st.ok()) {
-      return fail(std::move(st));
-    }
-    if (options_.durability.kill_after_appends > 0 &&
-        wal_->stats().appends >= options_.durability.kill_after_appends) {
-      (void)wal_->Sync();
-      std::_Exit(137);
-    }
-  }
-  WallTimer apply_timer;
-  Status st = updates.empty() ? Status::OK() : bc_->ApplyBatch(updates);
-  const double apply_seconds = apply_timer.Seconds();
-  if (!st.ok()) return fail(std::move(st));
-  const std::uint64_t previous =
-      published_position_.load(std::memory_order_acquire);
-  const std::uint64_t consumed =
-      stream_position > previous ? stream_position - previous : 0;
+  const std::uint64_t previous = final_position();
+  const std::uint64_t consumed = std::max<std::uint64_t>(
+      stream_position > previous ? stream_position - previous : 0,
+      updates.size());
   // Latency on a shard is receive-to-publish (the coordinator owns the
   // submit-to-publish number; the queue lives there).
-  std::vector<double> latencies(updates.size(), started);
-  if (Status commit = CommitBatch(epoch, stream_position, updates.size(),
-                                  std::max<std::uint64_t>(consumed,
-                                                          updates.size()),
-                                  apply_seconds, &latencies);
-      !commit.ok()) {
-    return fail(std::move(commit));
-  }
-  batch_started_.store(0.0, std::memory_order_relaxed);
-  return Status::OK();
+  std::vector<double> stamps(updates.size(), SteadyNowSeconds());
+  return RunBatch(epoch, stream_position, updates, consumed, &stamps);
 }
 
 Status BcService::RescopeSourceRange(VertexId begin, VertexId end) {
@@ -703,25 +483,18 @@ Status BcService::RescopeSourceRange(VertexId begin, VertexId end) {
   auto rebuilt = DynamicBc::Create(std::move(graph), options_.bc);
   if (!rebuilt.ok()) return rebuilt.status();
   bc_ = std::move(*rebuilt);
-  std::uint64_t epoch = 0;
-  std::uint64_t position = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    epoch = final_epoch_;
-    position = final_position_;
-  }
+  const std::uint64_t epoch = final_epoch();
+  const std::uint64_t position = final_position();
   // Republished at the UNCHANGED epoch/position: no snapshot (and thus no
   // merged cluster epoch) is ever computed under two shard maps at once.
-  snapshots_.Publish(BuildSnapshot(bc_->graph(), bc_->scores(), epoch,
-                                   position, options_.top_k,
-                                   options_.snapshot_edge_scores));
+  Publish(Snapshot(epoch, position), epoch, position);
   if (checkpointer_ != nullptr) {
     // Force a checkpoint under the new scope so a crash after the commit
     // recovers the new range (the manifest is authoritative for the
     // partition). Its failure costs durability, not the rescope.
     Status background = checkpointer_->WaitIdle();
     if (!background.ok()) EnterDegraded(background);
-    if (!checkpoints_suspended_.load(std::memory_order_acquire)) {
+    if (health() == ServiceHealth::kHealthy) {
       auto job = CaptureCheckpointJob(epoch, position);
       Status wrote = job.ok() ? checkpointer_->WriteNow(std::move(*job))
                               : job.status();
@@ -740,66 +513,27 @@ void BcService::Halt() {
   (void)Stop();
 }
 
-Status BcService::Drain() {
-  const std::uint64_t target = base_position_ + queue_.stats().received;
-  std::unique_lock<std::mutex> lock(mu_);
-  publish_cv_.wait(lock, [&] {
-    return writer_done_ || !writer_status_.ok() ||
-           writer_stalled_.load(std::memory_order_acquire) ||
-           published_position_.load(std::memory_order_acquire) >= target;
-  });
-  if (!writer_status_.ok()) return writer_status_;
-  if (published_position_.load(std::memory_order_acquire) >= target) {
-    return Status::OK();
-  }
-  if (writer_stalled_.load(std::memory_order_acquire)) {
-    // The watchdog flagged a batch exceeding the stall timeout. Drain
-    // surfaces the hang instead of joining it; the stall can still
-    // resolve (the flag clears and a later Drain succeeds).
-    return Status::Internal(
-        "writer stalled: a batch has exceeded the " +
-        std::to_string(options_.writer_stall_timeout_seconds) +
-        "s stall timeout");
-  }
-  return Status::FailedPrecondition(
-      "writer exited before draining every accepted update");
-}
-
 Status BcService::Stop() {
-  queue_.Close();
-  if (writer_.joinable()) writer_.join();
-  {
-    std::lock_guard<std::mutex> lock(watchdog_mu_);
-    watchdog_stop_ = true;
-  }
-  watchdog_cv_.notify_all();
-  if (watchdog_.joinable()) watchdog_.join();
+  Status status = WriterPipeline::Stop();
   // The writer can no longer touch the framework; push the final BD state
   // to stable storage so a serve-mode out-of-core deployment is resumable
   // (no-op for the in-memory variants).
-  const Status flush = bc_->store()->Flush();
-  std::uint64_t epoch = 0;
-  std::uint64_t position = 0;
-  bool clean = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (writer_status_.ok() && !flush.ok()) writer_status_ = flush;
-    epoch = final_epoch_;
-    position = final_position_;
-    clean = writer_status_.ok();
+  if (Status flush = bc_->store()->Flush(); !flush.ok()) {
+    RecordTerminal(flush);
+    if (status.ok()) status = flush;
   }
   if (checkpointer_ != nullptr && !final_checkpoint_done_) {
     final_checkpoint_done_ = true;
     Status background = checkpointer_->WaitIdle();
     if (!background.ok()) EnterDegraded(background);
     Status final_status = background;
-    if (clean && background.ok() &&
-        !checkpoints_suspended_.load(std::memory_order_acquire)) {
+    if (status.ok() && background.ok() &&
+        health() == ServiceHealth::kHealthy) {
       // A clean shutdown commits a checkpoint at the final epoch, so the
       // next start replays nothing. Suspended (degraded) services skip
       // it — whatever suspended checkpointing (ENOSPC) still holds, and
       // the WAL already covers every applied batch.
-      auto job = CaptureCheckpointJob(epoch, position);
+      auto job = CaptureCheckpointJob(final_epoch(), final_position());
       final_status = job.ok() ? checkpointer_->WriteNow(std::move(*job))
                               : job.status();
     }
@@ -808,12 +542,11 @@ Status BcService::Stop() {
       // WAL tail — reduced durability, same ladder rung as any other
       // checkpoint failure.
       EnterDegraded(final_status);
-      std::lock_guard<std::mutex> lock(mu_);
-      if (writer_status_.ok()) writer_status_ = final_status;
+      RecordTerminal(final_status);
+      if (status.ok()) status = final_status;
     }
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  return writer_status_;
+  return status;
 }
 
 }  // namespace sobc

@@ -1,15 +1,11 @@
 #ifndef SOBC_SERVER_BC_SERVICE_H_
 #define SOBC_SERVER_BC_SERVICE_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <span>
-#include <thread>
-#include <vector>
+#include <string>
 
 #include "bc/dynamic_bc.h"
 #include "common/status.h"
@@ -18,6 +14,7 @@
 #include "server/score_snapshot.h"
 #include "server/serve_metrics.h"
 #include "server/update_queue.h"
+#include "server/writer_pipeline.h"
 #include "storage/checkpoint.h"
 #include "storage/wal.h"
 
@@ -56,27 +53,6 @@ struct DurabilityOptions {
 
   bool enabled() const { return !wal_dir.empty(); }
 };
-
-/// The serving layer's health ladder (docs/OPERATIONS.md "Failure modes &
-/// health states"). Transitions are one-way within a process: a Degraded
-/// service never self-heals to Healthy (the condition that degraded it —
-/// a failed checkpoint, ENOSPC — needs operator action), and ReadOnly is
-/// terminal (the writer is dead; snapshots still serve, Submit rejects).
-enum class ServiceHealth : int {
-  kHealthy = 0,
-  /// Checkpointing failed or is impossible (ENOSPC): checkpoints are
-  /// suspended, serving continues WAL-only, and the queue capacity is
-  /// halved so backpressure bites earlier while durability is reduced.
-  kDegraded = 1,
-  /// The writer thread is dead (WAL append/sync/rotate failure, engine
-  /// apply failure). Published snapshots remain readable forever; Submit
-  /// fails fast; Drain/Stop report the terminal error.
-  kReadOnly = 2,
-};
-
-/// The state name as emitted in ServeMetrics JSON ("healthy" | "degraded"
-/// | "readonly").
-const char* ServiceHealthName(ServiceHealth health);
 
 /// What BcService::Recover found and did — surfaced by `sobc_cli recover`
 /// and asserted by the crash-injection tests.
@@ -162,7 +138,7 @@ struct BcServiceOptions {
 /// closes the queue, drains what was accepted, and joins the writer. After
 /// a writer error the service stops accepting updates and Drain/Stop
 /// return the failure.
-class BcService {
+class BcService : private ApplyBackend, private WriterPipeline {
  public:
   static Result<std::unique_ptr<BcService>> Create(
       Graph graph, const BcServiceOptions& options);
@@ -185,25 +161,23 @@ class BcService {
   BcService(const BcService&) = delete;
   BcService& operator=(const BcService&) = delete;
 
-  /// Enqueues one update (any thread). Blocks under backpressure unless
-  /// the queue drops; returns false when dropped or the service stopped.
-  bool Submit(const EdgeUpdate& update);
+  /// The writer pipeline's surface (writer_pipeline.h): Submit (refused in
+  /// replicated mode, where no writer runs), SubmitAll, Drain, the latest
+  /// snapshot(), final_epoch()/final_position(), submitted(), and the
+  /// health ladder's health()/last_error().
+  using WriterPipeline::Drain;
+  using WriterPipeline::final_epoch;
+  using WriterPipeline::final_position;
+  using WriterPipeline::health;
+  using WriterPipeline::last_error;
+  using WriterPipeline::snapshot;
+  using WriterPipeline::Submit;
+  using WriterPipeline::SubmitAll;
+  using WriterPipeline::submitted;
 
-  /// Submits a whole stream in order; returns how many were accepted.
-  std::size_t SubmitAll(const EdgeStream& stream);
-
-  /// The latest published scores. Wait-free with respect to refresh work;
-  /// the returned snapshot stays valid for as long as the caller holds it.
-  std::shared_ptr<const ScoreSnapshot> snapshot() const {
-    return snapshots_.Acquire();
-  }
-
-  /// Blocks until everything accepted so far is applied and published (or
-  /// the writer failed). Readers see a snapshot at least this fresh.
-  Status Drain();
-
-  /// Stops accepting updates, drains accepted ones, joins the writer.
-  /// Idempotent; returns the writer's terminal status.
+  /// Stops accepting updates, drains accepted ones, joins the writer, and
+  /// commits the clean-shutdown checkpoint. Idempotent; returns the
+  /// writer's terminal status.
   Status Stop();
 
   /// Crash-shaped stop for tests: shuts the service down WITHOUT the
@@ -214,13 +188,13 @@ class BcService {
 
   /// Replicated-mode apply (options.replicated only; one caller thread —
   /// the shard's coordinator session). Runs one coalesced batch through
-  /// the writer-loop sequence under the coordinator's epoch numbering:
-  /// `epoch` must be exactly final_epoch()+1 and `stream_position` the
-  /// coordinator's raw-update position after the batch. Exactly-once under
-  /// retries: a duplicate delivery (epoch <= the current epoch) is a
-  /// silent OK no-op, a gap is FailedPrecondition (the coordinator must
-  /// backfill from its replay window), and any WAL/apply failure takes the
-  /// shard ReadOnly and sticks as last_error().
+  /// the writer pipeline's batch step under the coordinator's epoch
+  /// numbering: `epoch` must be exactly final_epoch()+1 and
+  /// `stream_position` the coordinator's raw-update position after the
+  /// batch. Exactly-once under retries: a duplicate delivery (epoch <= the
+  /// current epoch) is a silent OK no-op, a gap is FailedPrecondition (the
+  /// coordinator must backfill from its replay window), and any WAL/apply
+  /// failure takes the shard ReadOnly and sticks as last_error().
   Status ApplyReplicatedBatch(std::uint64_t epoch,
                               std::uint64_t stream_position,
                               std::span<const EdgeUpdate> updates);
@@ -239,17 +213,7 @@ class BcService {
   /// shard from a checkpoint instead.
   Status RescopeSourceRange(VertexId begin, VertexId end);
 
-  /// Published epoch of the newest snapshot (any thread).
-  std::uint64_t final_epoch() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return final_epoch_;
-  }
-  /// Raw-stream position of the newest snapshot (any thread).
-  std::uint64_t final_position() const {
-    return published_position_.load(std::memory_order_acquire);
-  }
-
-  /// Writer-side metrics merged with the queue's push accounting.
+  /// The pipeline's metrics plus the WAL and checkpoint writers' stats.
   ServeMetricsSnapshot metrics() const;
 
   /// Blocks until no checkpoint job is in flight and returns the first
@@ -260,21 +224,6 @@ class BcService {
   Status QuiesceCheckpoints() {
     return checkpointer_ != nullptr ? checkpointer_->WaitIdle()
                                     : Status::OK();
-  }
-
-  /// Updates accepted into the queue so far.
-  std::uint64_t submitted() const { return queue_.stats().received; }
-
-  /// Current position on the health ladder (any thread).
-  ServiceHealth health() const {
-    return static_cast<ServiceHealth>(
-        health_.load(std::memory_order_acquire));
-  }
-
-  /// The error behind the last health transition; OK while healthy.
-  Status last_error() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return health_error_;
   }
 
   /// The underlying framework — for post-mortem inspection (store
@@ -293,17 +242,24 @@ class BcService {
  private:
   BcService(std::unique_ptr<DynamicBc> bc, const BcServiceOptions& options);
 
-  void WriterLoop();
-  Status WriterStatusLocked() const { return writer_status_; }
-  /// The post-apply half of one batch, shared by the writer loop and
-  /// ApplyReplicatedBatch: publish the snapshot, record metrics (latency
-  /// stamps become submit-to-publish latencies here, after the publish),
-  /// advance final_epoch_/final_position_ under mu_, and run the
-  /// checkpoint policy. `consumed` is the raw-stream update count the
-  /// batch covers (applied + coalesced-away).
-  Status CommitBatch(std::uint64_t epoch, std::uint64_t position,
-                     std::size_t applied, std::uint64_t consumed,
-                     double apply_seconds, std::vector<double>* latencies);
+  /// Shared tail of Create and Recover: publishes the starting epoch,
+  /// starts durability (WAL segments from epoch+1) and, outside
+  /// replicated mode, the writer.
+  Status BringUp(std::uint64_t epoch, std::uint64_t position,
+                 bool initial_checkpoint);
+
+  // The local ApplyBackend: log-before-apply to the WAL, the engine's
+  // batched apply, and the checkpoint policy after each publish.
+  Status Log(std::uint64_t epoch, std::uint64_t position,
+             std::span<const EdgeUpdate> updates) override;
+  Status Apply(std::uint64_t epoch, std::uint64_t position,
+               std::span<const EdgeUpdate> updates,
+               UpdateStats* counters) override;
+  std::shared_ptr<const ScoreSnapshot> Snapshot(
+      std::uint64_t epoch, std::uint64_t position) override;
+  Status AfterPublish(std::uint64_t epoch, std::uint64_t position,
+                      std::uint64_t consumed) override;
+
   /// Durability plumbing shared by Create and Recover: checkpoint writer +
   /// WAL writer, with the first WAL segment starting at `next_epoch`.
   /// With `initial_checkpoint` (Create only) it first refuses a reused
@@ -318,67 +274,24 @@ class BcService {
   /// Evaluates the op-count/interval policy and hands a captured job to
   /// the background writer (writer thread only).
   Status MaybeCheckpoint(std::uint64_t epoch, std::uint64_t position);
-  /// Healthy -> Degraded (one-way; no-op from Degraded/ReadOnly):
-  /// suspends checkpointing, halves the queue capacity, records `why`.
-  void EnterDegraded(const Status& why);
-  /// Any state -> ReadOnly; records `why` as the terminal error.
-  void EnterReadOnly(const Status& why);
-  /// Watchdog thread body: samples the writer's batch-start stamp and
-  /// flags a stall (writer_stall_timeout_seconds exceeded) for Drain.
-  void WatchdogLoop();
 
   BcServiceOptions options_;
   /// Owned by the writer thread once it starts; other threads must only
   /// touch it again after the writer has been joined.
   std::unique_ptr<DynamicBc> bc_;
-  UpdateQueue queue_;
-  SnapshotStore snapshots_;
-  ServeMetrics metrics_;
-
-  std::atomic<std::uint64_t> published_position_{0};
 
   // Durability state (null / zero when options_.durability is off).
   // wal_ is owned by the writer thread once it starts; checkpointer_ has
   // its own thread and is touched from the writer (Enqueue) and Stop
-  // (WriteNow/WaitIdle) only after the writer joined.
+  // (WriteNow/WaitIdle) only after the writer joined. Checkpoints are
+  // suspended once the health ladder leaves Healthy.
   std::unique_ptr<WalWriter> wal_;
   std::unique_ptr<CheckpointWriter> checkpointer_;
-  /// Epoch/position the service resumed from (0/0 for a fresh Create);
-  /// the writer's epochs and Drain targets are absolute, offset by these.
-  std::uint64_t base_epoch_ = 0;
-  std::uint64_t base_position_ = 0;
   /// Raw updates consumed since the last checkpoint trigger + its stamp
   /// (writer thread only).
   std::uint64_t updates_since_checkpoint_ = 0;
   double last_checkpoint_stamp_ = 0.0;
   bool final_checkpoint_done_ = false;  // Stop() idempotence
-
-  mutable std::mutex mu_;  // guards writer_status_ and Drain waits
-  std::condition_variable publish_cv_;
-  Status writer_status_;
-  bool writer_done_ = false;
-  /// Last published epoch/position, for Stop()'s final checkpoint
-  /// (guarded by mu_; written by the writer at each publish).
-  std::uint64_t final_epoch_ = 0;
-  std::uint64_t final_position_ = 0;
-
-  // Health ladder (ServiceHealth as int; transitions documented on the
-  // enum). health_error_ is guarded by mu_.
-  std::atomic<int> health_{static_cast<int>(ServiceHealth::kHealthy)};
-  std::atomic<bool> checkpoints_suspended_{false};
-  Status health_error_;
-
-  // Writer watchdog. batch_started_ holds the SteadyNowSeconds stamp of
-  // the batch in flight (0 = writer idle); writer_stalled_ is flipped by
-  // the watchdog under mu_ so Drain's wait sees it.
-  std::atomic<double> batch_started_{0.0};
-  std::atomic<bool> writer_stalled_{false};
-  std::mutex watchdog_mu_;
-  std::condition_variable watchdog_cv_;
-  bool watchdog_stop_ = false;
-  std::thread watchdog_;
-
-  std::thread writer_;
 };
 
 }  // namespace sobc

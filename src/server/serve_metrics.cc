@@ -72,8 +72,6 @@ void ServeMetrics::PushSample(std::vector<double>* ring, std::size_t* next,
 void ServeMetrics::RecordBatch(std::size_t applied, std::size_t coalesced,
                                double apply_seconds,
                                std::span<const double> update_latencies,
-                               std::uint64_t publish_epoch,
-                               std::uint64_t stream_position,
                                std::uint64_t sources_total,
                                std::uint64_t sources_prefiltered,
                                std::uint64_t msbfs_batches,
@@ -87,9 +85,6 @@ void ServeMetrics::RecordBatch(std::size_t applied, std::size_t coalesced,
   bottom_up_levels_.fetch_add(bottom_up_levels, std::memory_order_relaxed);
   batches_.fetch_add(1, std::memory_order_relaxed);
   publishes_.fetch_add(1, std::memory_order_relaxed);
-  publish_epoch_.store(publish_epoch, std::memory_order_relaxed);
-  published_stream_position_.store(stream_position,
-                                   std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(sample_mu_);
   for (double latency : update_latencies) {
     PushSample(&latency_samples_, &latency_next_, latency);
@@ -97,8 +92,8 @@ void ServeMetrics::RecordBatch(std::size_t applied, std::size_t coalesced,
   PushSample(&batch_samples_, &batch_next_, apply_seconds);
 }
 
-void ServeMetrics::SeedPublication(std::uint64_t epoch,
-                                   std::uint64_t stream_position) {
+void ServeMetrics::RecordPublication(std::uint64_t epoch,
+                                     std::uint64_t stream_position) {
   publish_epoch_.store(epoch, std::memory_order_relaxed);
   published_stream_position_.store(stream_position, std::memory_order_relaxed);
 }

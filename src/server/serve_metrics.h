@@ -13,7 +13,7 @@ namespace sobc {
 /// One coherent reading of the serving counters. Counters are monotonic;
 /// quantiles cover the retained latency samples. The writer-side fields
 /// come from ServeMetrics::Read; received/dropped/epoch_lag are filled by
-/// BcService::metrics() from the queue's own stats (the single source of
+/// WriterPipeline::metrics() from the queue's own stats (the single source of
 /// truth for push accounting).
 struct ServeMetricsSnapshot {
   /// Version of the JSON object ToJson emits, as its `schema_version`
@@ -74,7 +74,7 @@ struct ServeMetricsSnapshot {
   /// fdatasync; freezes after a failed sync (fsyncgate — see WalWriter).
   std::uint64_t wal_last_durable_epoch = 0;
 
-  /// Health of the serving layer (BcService::ServiceHealth as an int:
+  /// Health of the serving layer (ServiceHealth as an int:
   /// 0 healthy, 1 degraded, 2 read-only) plus the operator-facing detail:
   /// whether checkpointing is suspended, whether the watchdog flagged the
   /// writer as stalled, and the error that drove the last transition
@@ -131,7 +131,8 @@ struct ServeMetricsSnapshot {
   /// included — their effect was published even if they never ran).
   double p50_update_latency_seconds = 0.0;
   double p99_update_latency_seconds = 0.0;
-  /// Engine time per applied batch.
+  /// Apply time per batch: the backend's apply call alone (the engine in
+  /// a single process; replica patch, fan-out and merge on a cluster head).
   double p50_batch_apply_seconds = 0.0;
   double p99_batch_apply_seconds = 0.0;
 
@@ -148,14 +149,13 @@ class ServeMetrics {
  public:
   static constexpr std::size_t kMaxSamples = 1 << 14;
 
-  /// One applied-and-published batch: `applied` post-coalescing updates,
-  /// `coalesced` collapsed away, engine time, per-consumed-update
-  /// submit-to-publish latencies, the publication it produced, and the
-  /// batch's source-pass accounting (total vs. prefilter-eliminated).
+  /// One applied batch, about to be published: `applied` post-coalescing
+  /// updates, `coalesced` collapsed away, apply time, per-consumed-update
+  /// submit-to-publish latencies, and the batch's source-pass accounting
+  /// (total vs. prefilter-eliminated).
   void RecordBatch(std::size_t applied, std::size_t coalesced,
                    double apply_seconds,
                    std::span<const double> update_latencies,
-                   std::uint64_t publish_epoch, std::uint64_t stream_position,
                    std::uint64_t sources_total = 0,
                    std::uint64_t sources_prefiltered = 0,
                    std::uint64_t msbfs_batches = 0,
@@ -163,10 +163,10 @@ class ServeMetrics {
 
   ServeMetricsSnapshot Read() const;
 
-  /// Primes the publication cursor after recovery so epoch lag reads
-  /// correctly before the first post-recovery batch is applied. Counters
-  /// (publishes, batches) are untouched — they cover this process's work.
-  void SeedPublication(std::uint64_t epoch, std::uint64_t stream_position);
+  /// Moves the publication cursor (bring-up and every batch), so epoch
+  /// lag reads correctly before the first batch too. Counters (publishes,
+  /// batches) are untouched — RecordBatch counts this process's work.
+  void RecordPublication(std::uint64_t epoch, std::uint64_t stream_position);
 
   /// Publishes the approximation gauges after a batch (no-op values for
   /// exact deployments are fine — zeros read as "approximation off").

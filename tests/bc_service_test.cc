@@ -164,6 +164,35 @@ TEST(BcService, CoalescesChurnBeforeTheEngine) {
   ASSERT_TRUE((*service)->Stop().ok());
 }
 
+// A batch that coalesces to nothing still takes an epoch, but it runs no
+// source passes: the engine counters describe applied updates only.
+TEST(BcService, CoalescedAwayBatchAddsNoSourcePasses) {
+  Rng rng(5);
+  const Graph base = RandomConnectedGraph(20, 10, &rng);
+  std::vector<VertexId> absent;
+  for (VertexId v = 1; absent.size() < 2; ++v) {
+    if (!base.HasEdge(0, v)) absent.push_back(v);
+  }
+  BcServiceOptions options;
+  options.queue.max_batch = 2;  // each pair below drains as one batch
+  options.queue.batch_latency_budget_seconds = 5.0;
+  auto service = BcService::Create(base, options);
+  ASSERT_TRUE(service.ok());
+
+  const EdgeStream stream = {{0, absent[0], EdgeOp::kAdd, 0.0},
+                             {0, absent[1], EdgeOp::kAdd, 0.0},
+                             {0, absent[0], EdgeOp::kRemove, 0.0},
+                             {0, absent[0], EdgeOp::kAdd, 0.0}};
+  ASSERT_EQ((*service)->SubmitAll(stream), stream.size());
+  ASSERT_TRUE((*service)->Drain().ok());
+  const ServeMetricsSnapshot metrics = (*service)->metrics();
+  EXPECT_EQ(metrics.batches, 2u);
+  EXPECT_EQ(metrics.applied, 2u);
+  EXPECT_EQ(metrics.coalesced, 2u);
+  EXPECT_EQ(metrics.sources_total, base.NumVertices() * metrics.applied);
+  ASSERT_TRUE((*service)->Stop().ok());
+}
+
 TEST(BcService, LeaderboardOnlySnapshotsSkipTheEdgeMap) {
   Rng rng(3);
   const Graph base = RandomConnectedGraph(20, 10, &rng);

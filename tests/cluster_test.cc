@@ -358,6 +358,103 @@ TEST_F(ClusterTest, ExhaustedRetryBudgetTakesTheCoordinatorReadOnly) {
   EXPECT_TRUE(workers[1]->Stop().ok());
 }
 
+// The cluster twin of BcService.CoalescedAwayBatchAddsNoSourcePasses: an
+// empty batch replicates (epochs advance in lockstep), but no shard
+// reports source passes for it.
+TEST_F(ClusterTest, CoalescedAwayBatchAddsNoSourcePasses) {
+  Rng rng(46);
+  const Graph base = RandomConnectedGraph(24, 16, &rng);
+  std::vector<VertexId> absent;
+  for (VertexId v = 1; absent.size() < 2; ++v) {
+    if (!base.HasEdge(0, v)) absent.push_back(v);
+  }
+  TcpTransport transport;
+  const std::size_t shards = 2;
+  std::vector<std::unique_ptr<ShardWorker>> workers;
+  std::vector<std::string> addresses;
+  for (std::size_t i = 0; i < shards; ++i) {
+    auto worker = ShardWorker::Start(Graph(base), &transport, "127.0.0.1:0",
+                                     WorkerOptions(i, shards));
+    ASSERT_TRUE(worker.ok()) << worker.status().ToString();
+    addresses.push_back((*worker)->address());
+    workers.push_back(std::move(*worker));
+  }
+  ClusterCoordinatorOptions options = CoordinatorOptions();
+  options.queue.max_batch = 2;  // each pair below drains as one batch
+  options.queue.batch_latency_budget_seconds = 5.0;
+  auto coordinator = ClusterCoordinator::Connect(Graph(base), addresses,
+                                                 &transport, options);
+  ASSERT_TRUE(coordinator.ok()) << coordinator.status().ToString();
+
+  const EdgeStream updates = {{0, absent[0], EdgeOp::kAdd, 0.0},
+                              {0, absent[1], EdgeOp::kAdd, 0.0},
+                              {0, absent[0], EdgeOp::kRemove, 0.0},
+                              {0, absent[0], EdgeOp::kAdd, 0.0}};
+  ASSERT_EQ((*coordinator)->SubmitAll(updates), updates.size());
+  ASSERT_TRUE((*coordinator)->Drain().ok());
+  const ServeMetricsSnapshot metrics = (*coordinator)->metrics();
+  EXPECT_EQ(metrics.batches, 2u);
+  EXPECT_EQ(metrics.applied, 2u);
+  EXPECT_EQ(metrics.sources_total, base.NumVertices() * metrics.applied);
+  for (auto& worker : workers) {
+    EXPECT_EQ(worker->service()->final_epoch(), 2u);
+  }
+  EXPECT_TRUE((*coordinator)->Stop().ok());
+  for (auto& worker : workers) EXPECT_TRUE(worker->Stop().ok());
+}
+
+// The coordinator twin of BcService.WriterErrorSurfacesThroughDrain: a
+// batch the engine would reject dies on the coordinator's replica, so no
+// shard ever sees (or logs) its epoch (DESIGN.md §13).
+TEST_F(ClusterTest, PoisonBatchStopsAtTheCoordinator) {
+  const auto [base, stream] = testlib::ChurnScenario(
+      /*seed=*/45, /*n=*/24, /*extra_edges=*/16, /*updates=*/16);
+
+  TcpTransport transport;
+  const std::size_t shards = 2;
+  std::vector<std::unique_ptr<ShardWorker>> workers;
+  std::vector<std::string> addresses;
+  for (std::size_t i = 0; i < shards; ++i) {
+    auto worker = ShardWorker::Start(Graph(base), &transport, "127.0.0.1:0",
+                                     WorkerOptions(i, shards));
+    ASSERT_TRUE(worker.ok()) << worker.status().ToString();
+    addresses.push_back((*worker)->address());
+    workers.push_back(std::move(*worker));
+  }
+  auto coordinator = ClusterCoordinator::Connect(
+      Graph(base), addresses, &transport, CoordinatorOptions());
+  ASSERT_TRUE(coordinator.ok()) << coordinator.status().ToString();
+  ASSERT_EQ((*coordinator)->SubmitAll(stream), stream.size());
+  ASSERT_TRUE((*coordinator)->Drain().ok());
+  const std::uint64_t good_epoch = (*coordinator)->final_epoch();
+  for (auto& worker : workers) {
+    ASSERT_EQ(worker->service()->final_epoch(), good_epoch);
+  }
+
+  // Replay the stream on a copy to find a pair that is not an edge now.
+  Graph current(base);
+  for (const EdgeUpdate& update : stream) {
+    ASSERT_TRUE(ApplyToGraph(&current, update).ok());
+  }
+  VertexId u = 0;
+  VertexId v = 1;
+  while (current.HasEdge(u, v)) ++v;
+  ASSERT_LT(v, current.NumVertices());
+
+  EXPECT_TRUE((*coordinator)->Submit({u, v, EdgeOp::kRemove, 0.0}));
+  EXPECT_FALSE((*coordinator)->Drain().ok());
+  EXPECT_EQ((*coordinator)->health(), ServiceHealth::kReadOnly);
+  EXPECT_FALSE((*coordinator)->last_error().ok());
+  EXPECT_FALSE((*coordinator)->Submit(stream[0]));
+  EXPECT_EQ((*coordinator)->final_epoch(), good_epoch);
+  for (auto& worker : workers) {
+    EXPECT_EQ(worker->service()->final_epoch(), good_epoch);
+    EXPECT_EQ(worker->service()->health(), ServiceHealth::kHealthy);
+  }
+  EXPECT_FALSE((*coordinator)->Stop().ok());
+  for (auto& worker : workers) EXPECT_TRUE(worker->Stop().ok());
+}
+
 TEST_F(ClusterTest, DegradedShardDegradesTheCoordinator) {
   const auto [base, stream] = testlib::ChurnScenario(
       /*seed=*/45, /*n=*/26, /*extra_edges=*/18, /*updates=*/40);

@@ -109,6 +109,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -200,17 +201,38 @@ struct CliArgs {
 /// typo such as --threads=40000 would exhaust memory before doing any work.
 constexpr int kMaxThreads = 1024;
 
-/// Parses the value of `--name=` as a whole non-negative count into
-/// `out`; on a malformed value prints why and returns false.
-bool ParseCountFlag(const char* name, const std::string& text,
-                    std::size_t* out) {
+/// Parses the value of `--name=` as a whole count in [0, max] into `out`;
+/// on a malformed or out-of-range value prints why and returns false.
+template <class T>
+bool ParseCountFlag(const char* name, const std::string& text, T* out,
+                    std::uint64_t max = std::numeric_limits<T>::max()) {
   auto value = ParseUint64(text);
-  if (!value.ok()) {
-    std::fprintf(stderr, "--%s: expected a non-negative count: %s\n", name,
-                 value.status().ToString().c_str());
+  if (!value.ok() || *value > max) {
+    const std::string expected =
+        max < std::numeric_limits<T>::max()
+            ? "a count in [0, " + std::to_string(max) + "]"
+            : "a non-negative count";
+    std::fprintf(stderr, "--%s: expected %s: %s\n", name, expected.c_str(),
+                 value.ok() ? text.c_str()
+                            : value.status().ToString().c_str());
     return false;
   }
-  *out = static_cast<std::size_t>(*value);
+  *out = static_cast<T>(*value);
+  return true;
+}
+
+/// Parses the value of `--name=` as a finite number >= 0 into `out`; on a
+/// malformed or negative value prints why and returns false.
+bool ParseNonNegativeFlag(const char* name, const std::string& text,
+                          double* out) {
+  auto value = ParseFiniteDouble(text);
+  if (!value.ok() || *value < 0.0) {
+    std::fprintf(stderr, "--%s: expected a finite number >= 0: %s\n", name,
+                 value.ok() ? text.c_str()
+                            : value.status().ToString().c_str());
+    return false;
+  }
+  *out = *value;
   return true;
 }
 
@@ -228,7 +250,7 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
     } else if (arg.rfind("--top=", 0) == 0) {
       if (!ParseCountFlag("top", arg.substr(6), &args->top)) return false;
     } else if (arg.rfind("--seed=", 0) == 0) {
-      args->seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
+      if (!ParseCountFlag("seed", arg.substr(7), &args->seed)) return false;
     } else if (arg.rfind("--stream=", 0) == 0) {
       // For generate this is a count; for serve it can also be a file.
       // Only an all-digits value is a count, so filenames like
@@ -240,36 +262,45 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
             return std::isdigit(c) != 0;
           });
       if (numeric) {
-        args->stream_edges = std::strtoul(value.c_str(), nullptr, 10);
+        if (!ParseCountFlag("stream", value, &args->stream_edges)) {
+          return false;
+        }
       } else {
         args->stream_file = value;
       }
     } else if (arg.rfind("--stream-out=", 0) == 0) {
       args->stream_out_path = arg.substr(13);
     } else if (arg.rfind("--updates=", 0) == 0) {
-      args->serve_updates = std::strtoul(arg.c_str() + 10, nullptr, 10);
-    } else if (arg.rfind("--churn=", 0) == 0) {
-      args->churn = std::strtod(arg.c_str() + 8, nullptr);
-    } else if (arg.rfind("--readers=", 0) == 0) {
-      args->readers = static_cast<int>(std::strtol(arg.c_str() + 10, nullptr, 10));
-    } else if (arg.rfind("--batch=", 0) == 0) {
-      args->batch = std::strtoul(arg.c_str() + 8, nullptr, 10);
-    } else if (arg.rfind("--budget-ms=", 0) == 0) {
-      args->budget_ms = std::strtod(arg.c_str() + 12, nullptr);
-    } else if (arg.rfind("--queue-cap=", 0) == 0) {
-      args->queue_cap = std::strtoul(arg.c_str() + 12, nullptr, 10);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      auto value = ParseUint64(arg.substr(10));
-      if (!value.ok() || *value > kMaxThreads) {
-        std::fprintf(stderr,
-                     "--threads: expected a thread count in [0, %d] "
-                     "(0 = hardware): %s\n",
-                     kMaxThreads,
-                     value.ok() ? arg.substr(10).c_str()
-                                : value.status().ToString().c_str());
+      if (!ParseCountFlag("updates", arg.substr(10), &args->serve_updates)) {
         return false;
       }
-      args->threads = static_cast<int>(*value);
+    } else if (arg.rfind("--churn=", 0) == 0) {
+      if (!ParseNonNegativeFlag("churn", arg.substr(8), &args->churn)) {
+        return false;
+      }
+    } else if (arg.rfind("--readers=", 0) == 0) {
+      // Each reader is a thread, so the same bound as --threads applies.
+      if (!ParseCountFlag("readers", arg.substr(10), &args->readers,
+                          kMaxThreads)) {
+        return false;
+      }
+    } else if (arg.rfind("--batch=", 0) == 0) {
+      if (!ParseCountFlag("batch", arg.substr(8), &args->batch)) return false;
+    } else if (arg.rfind("--budget-ms=", 0) == 0) {
+      if (!ParseNonNegativeFlag("budget-ms", arg.substr(12),
+                                &args->budget_ms)) {
+        return false;
+      }
+    } else if (arg.rfind("--queue-cap=", 0) == 0) {
+      if (!ParseCountFlag("queue-cap", arg.substr(12), &args->queue_cap)) {
+        return false;
+      }
+    } else if (arg.rfind("--threads=", 0) == 0) {
+      // 0 = hardware concurrency.
+      if (!ParseCountFlag("threads", arg.substr(10), &args->threads,
+                          kMaxThreads)) {
+        return false;
+      }
     } else if (arg == "--no-prefilter") {
       args->prefilter = false;
     } else if (arg == "--msbfs") {
@@ -341,31 +372,45 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       }
       args->checkpoint_interval = *value;
     } else if (arg.rfind("--kill-after=", 0) == 0) {
-      args->kill_after = std::strtoul(arg.c_str() + 13, nullptr, 10);
+      if (!ParseCountFlag("kill-after", arg.substr(13), &args->kill_after)) {
+        return false;
+      }
     } else if (arg.rfind("--fault-schedule=", 0) == 0) {
       args->fault_schedule = arg.substr(17);
     } else if (arg.rfind("--listen=", 0) == 0) {
       args->listen = arg.substr(9);
     } else if (arg.rfind("--shard-index=", 0) == 0) {
-      args->shard_index = std::strtoul(arg.c_str() + 14, nullptr, 10);
+      if (!ParseCountFlag("shard-index", arg.substr(14),
+                          &args->shard_index)) {
+        return false;
+      }
     } else if (arg.rfind("--shards=", 0) == 0) {
       args->shards_spec = arg.substr(9);
     } else if (arg == "--recover") {
       args->recover_mode = true;
     } else if (arg.rfind("--retry-seconds=", 0) == 0) {
-      args->retry_seconds = std::strtod(arg.c_str() + 16, nullptr);
+      if (!ParseNonNegativeFlag("retry-seconds", arg.substr(16),
+                                &args->retry_seconds)) {
+        return false;
+      }
     } else if (arg.rfind("--standby-listen=", 0) == 0) {
       args->standby_listen = arg.substr(17);
     } else if (arg.rfind("--standby-of=", 0) == 0) {
       args->standby_of = arg.substr(13);
     } else if (arg.rfind("--pace-ms=", 0) == 0) {
-      args->pace_ms = std::strtod(arg.c_str() + 10, nullptr);
+      if (!ParseNonNegativeFlag("pace-ms", arg.substr(10), &args->pace_ms)) {
+        return false;
+      }
     } else if (arg.rfind("--split=", 0) == 0) {
-      args->split_index = std::strtol(arg.c_str() + 8, nullptr, 10);
+      if (!ParseCountFlag("split", arg.substr(8), &args->split_index)) {
+        return false;
+      }
     } else if (arg.rfind("--split-recipient=", 0) == 0) {
       args->split_recipient = arg.substr(18);
     } else if (arg.rfind("--merge=", 0) == 0) {
-      args->merge_index = std::strtol(arg.c_str() + 8, nullptr, 10);
+      if (!ParseCountFlag("merge", arg.substr(8), &args->merge_index)) {
+        return false;
+      }
     } else if (arg == "--await-migration") {
       args->await_migration = true;
     } else if (arg.rfind("--json=", 0) == 0) {
@@ -999,10 +1044,11 @@ int CmdShard(const CliArgs& args) {
                  "--shards=N\n");
     return 2;
   }
-  const std::size_t shard_count =
-      args.await_migration ? 1
-                           : std::strtoul(args.shards_spec.c_str(), nullptr,
-                                          10);
+  std::size_t shard_count = 1;
+  if (!args.await_migration &&
+      !ParseCountFlag("shards", args.shards_spec, &shard_count)) {
+    return 2;
+  }
   if (shard_count == 0 || args.shard_index >= shard_count) {
     std::fprintf(stderr, "--shard-index=%zu outside --shards=%s\n",
                  args.shard_index, args.shards_spec.c_str());
@@ -1387,11 +1433,13 @@ int CmdStats(const CliArgs& args) {
 
 int CmdGenerate(const CliArgs& args) {
   const std::string& kind = args.positional[0];
-  const std::size_t n = std::strtoul(args.positional[1].c_str(), nullptr, 10);
-  if (n == 0) {
-    std::fprintf(stderr, "vertex count must be positive\n");
-    return 1;
+  auto parsed = ParseUint64(args.positional[1]);
+  if (!parsed.ok() || *parsed == 0) {
+    std::fprintf(stderr, "generate: vertex count must be positive: %s\n",
+                 parsed.ok() ? "got 0" : parsed.status().ToString().c_str());
+    return 2;
   }
+  const std::size_t n = static_cast<std::size_t>(*parsed);
   Rng rng(args.seed);
   Graph graph;
   ArrivalProcess arrivals;
