@@ -33,16 +33,11 @@ Graph MakeSocial(std::size_t n) {
   return GenerateSocialGraph(n, SocialGraphParams::PaperDefaults(), &rng);
 }
 
-// ---------------------------------------------------------------------------
-// Adjacency-list vs CsrView: the before/after pair for the CSR migration.
-// Same kernels, only the neighbor provider differs.
-// ---------------------------------------------------------------------------
-
 /// Full BFS from `s`, returning the number of visited vertices. This is the
 /// traversal shape every hot path shares (Brandes search phase, incremental
 /// repair, analysis sweeps).
-template <class Adj>
-std::size_t BfsSweep(const Adj& adj, VertexId s, std::vector<Distance>* dist,
+std::size_t BfsSweep(const CsrView& adj, VertexId s,
+                     std::vector<Distance>* dist,
                      std::vector<VertexId>* queue) {
   std::fill(dist->begin(), dist->end(), kUnreachable);
   queue->clear();
@@ -60,33 +55,21 @@ std::size_t BfsSweep(const Adj& adj, VertexId s, std::vector<Distance>* dist,
   return queue->size();
 }
 
-template <class Adj>
-void TraversalSweepBench(benchmark::State& state, const Graph& g,
-                         const Adj& adj) {
+void BM_TraversalSweep(benchmark::State& state) {
+  const Graph g = MakeSocial(static_cast<std::size_t>(state.range(0)));
   std::vector<Distance> dist(g.NumVertices());
   std::vector<VertexId> queue;
   VertexId s = 0;
   std::size_t visited = 0;
   for (auto _ : state) {
-    visited += BfsSweep(adj, s, &dist, &queue);
+    visited += BfsSweep(g.csr(), s, &dist, &queue);
     s = static_cast<VertexId>((s + 1) % g.NumVertices());
   }
   benchmark::DoNotOptimize(visited);
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(g.NumEdges()));
 }
-
-void BM_TraversalSweepAdjacency(benchmark::State& state) {
-  const Graph g = MakeSocial(static_cast<std::size_t>(state.range(0)));
-  TraversalSweepBench(state, g, GraphAdjacency(g));
-}
-BENCHMARK(BM_TraversalSweepAdjacency)->Arg(1024)->Arg(4096)->Arg(16384)->Arg(65536);
-
-void BM_TraversalSweepCsr(benchmark::State& state) {
-  const Graph g = MakeSocial(static_cast<std::size_t>(state.range(0)));
-  TraversalSweepBench(state, g, g.csr());
-}
-BENCHMARK(BM_TraversalSweepCsr)->Arg(1024)->Arg(4096)->Arg(16384)->Arg(65536);
+BENCHMARK(BM_TraversalSweep)->Arg(1024)->Arg(4096)->Arg(16384)->Arg(65536);
 
 // ---------------------------------------------------------------------------
 // Bit-parallel MS-BFS (DESIGN.md §14): one 64-lane batch vs the 64 scalar
@@ -146,16 +129,11 @@ void BM_MsBfs64Sources(benchmark::State& state) {
 BENCHMARK(BM_MsBfs64Sources)->ArgsProduct({{1024, 4096, 16384}, {0, 1}});
 
 /// Incremental-update throughput through the full engine pipeline on the
-/// synthetic social workload: state.range(1) == 0 walks the mutable
-/// adjacency lists (the pre-CSR hot path), 1 the packed CsrView snapshot.
-/// Reported `items_per_second` is updates/s (one add + one remove = 2).
+/// synthetic social workload. Reported `items_per_second` is updates/s
+/// (one add + one remove = 2).
 void BM_IncrementalUpdate(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const bool use_csr = state.range(1) != 0;
-  Graph g = MakeSocial(n);
-  DynamicBcOptions options;
-  options.use_csr = use_csr;
-  auto bc = DynamicBc::Create(std::move(g), options);
+  auto bc = DynamicBc::Create(MakeSocial(n), DynamicBcOptions{});
   if (!bc.ok()) {
     state.SkipWithError("create failed");
     return;
@@ -179,15 +157,12 @@ void BM_IncrementalUpdate(benchmark::State& state) {
       return;
     }
   }
-  if (use_csr && (*bc)->graph().csr().stats().builds > 1) {
-    state.SkipWithError("CsrView was rebuilt inside the update loop");
-    return;
-  }
   state.SetItemsProcessed(state.iterations() * 2);
-  state.SetLabel(use_csr ? "csr" : "adjacency-list");
 }
 BENCHMARK(BM_IncrementalUpdate)
-    ->ArgsProduct({{1024, 4096, 8192}, {0, 1}})
+    ->Arg(1024)
+    ->Arg(4096)
+    ->Arg(8192)
     ->Unit(benchmark::kMillisecond);
 
 void BM_BrandesSingleSource(benchmark::State& state) {

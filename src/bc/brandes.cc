@@ -11,11 +11,8 @@ namespace sobc {
 
 namespace {
 
-/// The single-source kernel, templated over the adjacency provider so the
-/// inner neighbor loops read either the packed CsrView arena (hot path) or
-/// the mutable adjacency lists (baseline), with no per-edge indirection.
-template <class Adj>
-void BrandesSingleSourceImpl(const Adj& adj, VertexId s,
+/// The single-source kernel over the graph's packed adjacency arena.
+void BrandesSingleSourceImpl(const CsrView& adj, VertexId s,
                              const BrandesOptions& options, SourceBcData* data,
                              BcScores* scores) {
   const std::size_t n = adj.NumVertices();
@@ -105,8 +102,7 @@ struct BatchScratch {
 /// already filled: level-ordered sigma recount, then the dependency sweep,
 /// with ebc contributions staged into a contiguous slab and committed in
 /// one EdgeScoreMap::AddAll probe loop.
-template <class Adj>
-void FinishSourceFromDistances(const Adj& adj, VertexId s,
+void FinishSourceFromDistances(const CsrView& adj, VertexId s,
                                const BrandesOptions& options,
                                BatchScratch* scratch, SourceBcData* data,
                                BcScores* scores) {
@@ -190,8 +186,8 @@ void FinishSourceFromDistances(const Adj& adj, VertexId s,
 /// Drives [begin, end) through the kernel in 64-lane batches; `sink` takes
 /// each finished source's data (the store path moves it out, the
 /// compute-only path leaves it for reuse).
-template <class Adj, class Sink>
-Status RunBatched(const Adj& adj, VertexId begin, VertexId end,
+template <class Sink>
+Status RunBatched(const CsrView& adj, VertexId begin, VertexId end,
                   const BrandesOptions& options, BcScores* scores,
                   Sink&& sink) {
   const std::size_t n = adj.NumVertices();
@@ -226,11 +222,7 @@ Status RunBatched(const Adj& adj, VertexId begin, VertexId end,
 void BrandesSingleSource(const Graph& graph, VertexId s,
                          const BrandesOptions& options, SourceBcData* data,
                          BcScores* scores) {
-  if (options.use_csr) {
-    BrandesSingleSourceImpl(graph.csr(), s, options, data, scores);
-  } else {
-    BrandesSingleSourceImpl(GraphAdjacency(graph), s, options, data, scores);
-  }
+  BrandesSingleSourceImpl(graph.csr(), s, options, data, scores);
 }
 
 void ComputeBrandesRange(const Graph& graph, VertexId begin, VertexId end,
@@ -239,12 +231,7 @@ void ComputeBrandesRange(const Graph& graph, VertexId begin, VertexId end,
   if (scores->vbc.size() < n) scores->vbc.resize(n, 0.0);
   if (options.use_msbfs && end > begin && end - begin > 1) {
     auto discard = [](VertexId, SourceBcData*) { return Status::OK(); };
-    if (options.use_csr) {
-      (void)RunBatched(graph.csr(), begin, end, options, scores, discard);
-    } else {
-      (void)RunBatched(GraphAdjacency(graph), begin, end, options, scores,
-                       discard);
-    }
+    (void)RunBatched(graph.csr(), begin, end, options, scores, discard);
     return;
   }
   SourceBcData data;
@@ -277,10 +264,7 @@ Status InitializeFromScratch(const Graph& graph, const BrandesOptions& options,
     auto put = [store](VertexId s, SourceBcData* data) {
       return store->PutInitial(s, std::move(*data));
     };
-    if (options.use_csr) {
-      return RunBatched(graph.csr(), begin, end, options, scores, put);
-    }
-    return RunBatched(GraphAdjacency(graph), begin, end, options, scores, put);
+    return RunBatched(graph.csr(), begin, end, options, scores, put);
   }
   for (VertexId s = begin; s < end; ++s) {
     SourceBcData data;

@@ -18,10 +18,6 @@ struct BrandesOptions {
   PredMode pred_mode = PredMode::kScanNeighbors;
   /// Also accumulate edge betweenness (Brandes 2008 variant, Section 3).
   bool compute_ebc = true;
-  /// Traverse the graph's packed CsrView snapshot (default) instead of the
-  /// mutable adjacency lists. The list path exists for the before/after
-  /// comparison in bench/micro_core.cc.
-  bool use_csr = true;
   /// Multi-source entry points (ComputeBrandesRange, InitializeFromScratch)
   /// run their searches 64 sources at a time through the bit-parallel
   /// MS-BFS kernel, then finish each source with a level-ordered sigma pass

@@ -11,7 +11,6 @@
 #include "bc/bd_store_disk.h"
 #include "bc/score_io.h"
 #include "common/timer.h"
-#include "graph/csr_view.h"
 #include "parallel/score_reduce.h"
 
 namespace sobc {
@@ -71,7 +70,7 @@ void DynamicBc::InitLanes(PredMode pred_mode) {
   lanes_.resize(w);
   for (std::size_t i = 0; i < w; ++i) {
     Lane& lane = lanes_[i];
-    lane.engine = IncrementalEngine(pred_mode, options_.use_csr);
+    lane.engine = IncrementalEngine(pred_mode);
     lane.engine.ConfigureMsBfs(options_.msbfs, msbfs);
     lane.prefilter.ConfigureMsBfs(options_.msbfs, msbfs);
     if (i > 0) lane.replica = std::make_unique<Graph>(graph_);
@@ -168,16 +167,9 @@ Result<std::unique_ptr<DynamicBc>> DynamicBc::Create(
   } else {
     bc->disk_root_ = dynamic_cast<DiskBdStore*>(bc->store_.get());
   }
-  if (options.use_csr) {
-    // Build the traversal snapshot once, up front; every later Apply only
-    // patches it in O(degree) (asserted via CsrView::stats().builds). Lane
-    // replicas copy it rather than building their own.
-    bc->graph_.csr();
-  }
   bc->InitLanes(pred_mode);
   BrandesOptions brandes;
   brandes.pred_mode = pred_mode;
-  brandes.use_csr = options.use_csr;
   brandes.use_msbfs = options.msbfs;
   brandes.msbfs = MakeMsBfsOptions(options);
   if (bc->approx_ != nullptr) {
@@ -293,7 +285,6 @@ Result<std::unique_ptr<DynamicBc>> DynamicBc::Resume(
     bc->store_ = std::make_unique<SampledBdStore>(
         std::move(bc->store_), &bc->approx_->samples());
   }
-  if (options.use_csr) bc->graph_.csr();
   bc->InitLanes(PredMode::kScanNeighbors);
   bc->scores_ = std::move(*scores);
   return bc;
@@ -421,7 +412,6 @@ Status DynamicBc::ApplyBatch(std::span<const EdgeUpdate> batch) {
 BrandesOptions DynamicBc::SweepOptions() const {
   BrandesOptions brandes;
   brandes.pred_mode = lanes_[0].engine.pred_mode();
-  brandes.use_csr = options_.use_csr;
   brandes.use_msbfs = options_.msbfs;
   brandes.msbfs = MakeMsBfsOptions(options_);
   return brandes;
@@ -541,8 +531,7 @@ Status DynamicBc::ApplyLaneUpdate(std::size_t i, const Graph& graph,
   }
   const std::size_t owned = approx_ != nullptr ? samples.size() : hi - lo;
   if (options_.prefilter) {
-    SOBC_RETURN_NOT_OK(lane.prefilter.Build(graph, update, options_.use_csr,
-                                            lo, hi, &worklist));
+    SOBC_RETURN_NOT_OK(lane.prefilter.Build(graph, update, lo, hi, &worklist));
     if (i == 0) {
       // Every lane runs the same 2-lane endpoint fold; it counts once per
       // update toward the kernel totals, beside the engine's batches.

@@ -31,7 +31,7 @@ enum class BcVariant {
 
 /// Per-deployment configuration of the framework: which storage variant
 /// runs, how its out-of-core engine is tuned, and how each update's
-/// source loop is driven (CSR, prefilter, lane count).
+/// source loop is driven (prefilter, MS-BFS, lane count).
 struct DynamicBcOptions {
   BcVariant variant = BcVariant::kMemory;
   /// Backing file for the kOutOfCore variant.
@@ -50,10 +50,6 @@ struct DynamicBcOptions {
   /// background thread, overlapping read-ahead with compute (out-of-core
   /// only; see storage/prefetcher.h).
   bool prefetch = true;
-  /// Traverse via the graph's packed CsrView snapshot (default). The
-  /// adjacency-list path remains selectable so the CSR win stays
-  /// measurable (bench/micro_core.cc).
-  bool use_csr = true;
   /// Lanes of the source-major apply (DESIGN.md §9): each lane owns an
   /// equal contiguous share of the sources and steps a private graph
   /// replica through every update of a batch; the lanes' score partials
@@ -289,8 +285,7 @@ class DynamicBc {
         store_(std::move(store)) {}
 
   /// Builds the lanes (replicas, engines, pool) and applies the MS-BFS
-  /// configuration to every engine and prefilter. Called once the graph's
-  /// CsrView exists, so replicas copy it instead of building their own.
+  /// configuration to every engine and prefilter.
   void InitLanes(PredMode pred_mode);
   /// Step 1 of the approx mode: sweeps each sampled source into the
   /// maintained sums and its BD slot.

@@ -123,8 +123,7 @@ int IncrementalEngine::NewRelation(const SourceContext& cx, VertexId a,
 // Non-orphan candidates are the paper's pivots: they keep their distance but
 // lose path counts, so they seed the sigma repair.
 // ---------------------------------------------------------------------------
-template <class Adj>
-void IncrementalEngine::ClassifyOrphans(const Adj& adj,
+void IncrementalEngine::ClassifyOrphans(const CsrView& adj,
                                         const SourceContext& cx) {
   const Distance root_level = cx.view.d[cx.u_low];
   SOBC_DCHECK(root_level != kUnreachable);
@@ -183,8 +182,7 @@ void IncrementalEngine::ClassifyOrphans(const Adj& adj,
 // Seeds the re-BFS for orphans: each orphan's tentative new distance is one
 // past its best surviving neighbor (the pivots of Def. 3.2). Orphans with no
 // surviving neighbor stay unreachable unless relaxed through other orphans.
-template <class Adj>
-void IncrementalEngine::RepairDistancesRemoval(const Adj& adj,
+void IncrementalEngine::RepairDistancesRemoval(const CsrView& adj,
                                                const SourceContext& cx) {
   for (VertexId v : moved_list_) {
     Touch(cx, v, kPending);
@@ -249,8 +247,8 @@ void IncrementalEngine::SeedMovedFromDistances(const SourceContext& cx,
 // edge; removal: other orphans), and marks DAG successors dirty so sigma
 // changes propagate.
 // ---------------------------------------------------------------------------
-template <class Adj>
-void IncrementalEngine::RepairSigmas(const Adj& adj, const SourceContext& cx) {
+void IncrementalEngine::RepairSigmas(const CsrView& adj,
+                                     const SourceContext& cx) {
   const bool mp = pred_mode_ == PredMode::kPredecessorLists;
   std::vector<VertexId> preds;
   for (Distance level = 0; level <= repair_max_; ++level) {
@@ -331,8 +329,7 @@ void IncrementalEngine::RepairSigmas(const Adj& adj, const SourceContext& cx) {
 // Alg. 5) has its old contribution subtracted here, before accumulation, so
 // dependency bases are consistent when the descending sweep starts.
 // ---------------------------------------------------------------------------
-template <class Adj>
-void IncrementalEngine::PreScanStaleEdges(const Adj& adj,
+void IncrementalEngine::PreScanStaleEdges(const CsrView& adj,
                                           const SourceContext& cx) {
   const std::size_t snapshot = touched_list_.size();
   auto check_edge = [&](VertexId a, VertexId b) {
@@ -368,8 +365,8 @@ void IncrementalEngine::PreScanStaleEdges(const Adj& adj,
 // embedded — the old-value-subtraction trick that keeps per-source work
 // proportional to the affected region.
 // ---------------------------------------------------------------------------
-template <class Adj>
-void IncrementalEngine::Accumulate(const Adj& adj, const SourceContext& cx,
+void IncrementalEngine::Accumulate(const CsrView& adj,
+                                   const SourceContext& cx,
                                    UpdateStats* stats) {
   const bool mp = pred_mode_ == PredMode::kPredecessorLists;
 
@@ -450,8 +447,7 @@ Status IncrementalEngine::EmitPatches(const SourceContext& cx, BdStore* store,
   return store->Apply(cx.s, patches_, pred_patches_);
 }
 
-template <class Adj>
-Status IncrementalEngine::RunForSource(const Adj& adj,
+Status IncrementalEngine::RunForSource(const CsrView& adj,
                                        const EdgeUpdate& update, VertexId s,
                                        BdStore* store, BcScores* scores,
                                        UpdateStats* stats, bool peeked,
@@ -580,8 +576,7 @@ static bool IsStructuralAddition(bool directed, Distance du, Distance dv) {
   return dl == kUnreachable || dl > dh + 1;
 }
 
-template <class Adj>
-Status IncrementalEngine::RunForSourceSpan(const Adj& adj,
+Status IncrementalEngine::RunForSourceSpan(const CsrView& adj,
                                            const EdgeUpdate& update,
                                            std::span<const VertexId> sources,
                                            BdStore* store, BcScores* scores,
@@ -650,22 +645,14 @@ Status IncrementalEngine::ApplyUpdateForSource(const Graph& graph,
                                                VertexId s, BdStore* store,
                                                BcScores* scores,
                                                UpdateStats* stats) {
-  if (use_csr_) {
-    return RunForSource(graph.csr(), update, s, store, scores, stats);
-  }
-  return RunForSource(GraphAdjacency(graph), update, s, store, scores, stats);
+  return RunForSource(graph.csr(), update, s, store, scores, stats);
 }
 
 Status IncrementalEngine::ApplyUpdateForSources(
     const Graph& graph, const EdgeUpdate& update,
     std::span<const VertexId> sources, BdStore* store, BcScores* scores,
     UpdateStats* stats) {
-  if (use_csr_) {
-    return RunForSourceSpan(graph.csr(), update, sources, store, scores,
-                            stats);
-  }
-  return RunForSourceSpan(GraphAdjacency(graph), update, sources, store,
-                          scores, stats);
+  return RunForSourceSpan(graph.csr(), update, sources, store, scores, stats);
 }
 
 }  // namespace sobc

@@ -69,15 +69,12 @@ struct UpdateStats {
 /// The engine is stateless across updates except for reusable scratch
 /// buffers; one instance must not be shared between threads.
 ///
-/// Traversal reads the graph's packed CsrView snapshot by default (the
-/// repair pipeline is BFS-shaped, so neighbor locality dominates); passing
-/// use_csr=false walks the mutable adjacency lists instead — the baseline
-/// path kept for the before/after microbenchmark.
+/// Traversal reads the graph's packed CsrView arena (the repair pipeline is
+/// BFS-shaped, so neighbor locality dominates).
 class IncrementalEngine {
  public:
-  explicit IncrementalEngine(PredMode pred_mode = PredMode::kScanNeighbors,
-                             bool use_csr = true)
-      : pred_mode_(pred_mode), use_csr_(use_csr) {}
+  explicit IncrementalEngine(PredMode pred_mode = PredMode::kScanNeighbors)
+      : pred_mode_(pred_mode) {}
 
   /// Processes the sources of `sources` for one update — the unit one
   /// apply lane (one of the paper's mappers) processes per update: its
@@ -97,7 +94,6 @@ class IncrementalEngine {
                               UpdateStats* stats);
 
   PredMode pred_mode() const { return pred_mode_; }
-  bool use_csr() const { return use_csr_; }
 
   /// Selects the structural-addition traversal: bit-parallel MS-BFS
   /// batches (default) or the paper's per-source relax-BFS. The span entry
@@ -155,23 +151,19 @@ class IncrementalEngine {
   void PullUp(const SourceContext& cx, VertexId v);
 
   // --- pipeline phases ---
-  // Templated over the adjacency provider (CsrView or GraphAdjacency) so
-  // the inner neighbor loops are monomorphized against flat spans; the
-  // public entry points dispatch once per source range, not per edge.
   /// `peeked` carries the endpoint distances when the caller already
   /// probed them (the batched span drains peek once, during deferral
   /// classification). `new_d` (n entries) carries a structural addition's
   /// final post-update distances when a MS-BFS batch precomputed them;
   /// null falls back to the per-source relax-BFS.
-  template <class Adj>
-  Status RunForSource(const Adj& adj, const EdgeUpdate& update, VertexId s,
-                      BdStore* store, BcScores* scores, UpdateStats* stats,
-                      bool peeked = false, Distance peek_du = 0,
-                      Distance peek_dv = 0, const Distance* new_d = nullptr);
+  Status RunForSource(const CsrView& adj, const EdgeUpdate& update,
+                      VertexId s, BdStore* store, BcScores* scores,
+                      UpdateStats* stats, bool peeked = false,
+                      Distance peek_du = 0, Distance peek_dv = 0,
+                      const Distance* new_d = nullptr);
   /// Drives a source span through the batched MS-BFS path (or the scalar
   /// loop for removals and when batching is off / pointless).
-  template <class Adj>
-  Status RunForSourceSpan(const Adj& adj, const EdgeUpdate& update,
+  Status RunForSourceSpan(const CsrView& adj, const EdgeUpdate& update,
                           std::span<const VertexId> sources, BdStore* store,
                           BcScores* scores, UpdateStats* stats);
   /// Seeds the repair queues from an addition's precomputed final
@@ -179,17 +171,12 @@ class IncrementalEngine {
   /// RepairSigmas' relaxation never fires and the sweep is a pure recount.
   void SeedMovedFromDistances(const SourceContext& cx, std::size_t n,
                               const Distance* new_d);
-  template <class Adj>
-  void ClassifyOrphans(const Adj& adj, const SourceContext& cx);
-  template <class Adj>
-  void RepairDistancesRemoval(const Adj& adj, const SourceContext& cx);
-  template <class Adj>
-  void RepairSigmas(const Adj& adj, const SourceContext& cx);
-  template <class Adj>
-  void Accumulate(const Adj& adj, const SourceContext& cx,
+  void ClassifyOrphans(const CsrView& adj, const SourceContext& cx);
+  void RepairDistancesRemoval(const CsrView& adj, const SourceContext& cx);
+  void RepairSigmas(const CsrView& adj, const SourceContext& cx);
+  void Accumulate(const CsrView& adj, const SourceContext& cx,
                   UpdateStats* stats);
-  template <class Adj>
-  void PreScanStaleEdges(const Adj& adj, const SourceContext& cx);
+  void PreScanStaleEdges(const CsrView& adj, const SourceContext& cx);
   Status EmitPatches(const SourceContext& cx, BdStore* store,
                      UpdateStats* stats);
 
@@ -205,7 +192,6 @@ class IncrementalEngine {
   void PushLq(VertexId v, Distance level);
 
   PredMode pred_mode_;
-  bool use_csr_ = true;
 
   /// Batched-kernel state (see ConfigureMsBfs). `deferred_` holds the
   /// structural additions of the current span with their peeked endpoint

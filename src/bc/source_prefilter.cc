@@ -2,15 +2,12 @@
 
 #include <algorithm>
 
-#include "graph/csr_view.h"
-
 namespace sobc {
 
 // Distances *to* the root: a plain BFS for undirected graphs, a BFS over
 // in-edges for directed ones (so dist[s] = d(s, root) in the original
 // orientation — the quantity the skip test of Section 3.1 is stated in).
-template <class Adj>
-void SourcePrefilter::Bfs(const Adj& adj, VertexId root,
+void SourcePrefilter::Bfs(const CsrView& adj, VertexId root,
                           std::vector<Distance>* dist) {
   const std::size_t n = adj.NumVertices();
   dist->assign(n, kUnreachable);
@@ -30,8 +27,7 @@ void SourcePrefilter::Bfs(const Adj& adj, VertexId root,
   }
 }
 
-template <class Adj>
-void SourcePrefilter::Run(const Adj& adj, const EdgeUpdate& update,
+void SourcePrefilter::Run(const CsrView& adj, const EdgeUpdate& update,
                           VertexId begin, VertexId end,
                           std::vector<VertexId>* dirty) {
   const std::size_t n = adj.NumVertices();
@@ -70,7 +66,7 @@ void SourcePrefilter::Run(const Adj& adj, const EdgeUpdate& update,
 }
 
 Status SourcePrefilter::Build(const Graph& graph, const EdgeUpdate& update,
-                              bool use_csr, VertexId begin, VertexId end,
+                              VertexId begin, VertexId end,
                               std::vector<VertexId>* dirty) {
   const std::size_t n = graph.NumVertices();
   if (update.u >= n || update.v >= n) {
@@ -79,11 +75,7 @@ Status SourcePrefilter::Build(const Graph& graph, const EdgeUpdate& update,
   }
   end = static_cast<VertexId>(std::min<std::size_t>(end, n));
   begin = std::min(begin, end);
-  if (use_csr) {
-    Run(graph.csr(), update, begin, end, dirty);
-  } else {
-    Run(GraphAdjacency(graph), update, begin, end, dirty);
-  }
+  Run(graph.csr(), update, begin, end, dirty);
   return Status::OK();
 }
 

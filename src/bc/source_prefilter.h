@@ -41,20 +41,26 @@ namespace sobc {
 /// over its share of the sources.
 class SourcePrefilter {
  public:
-  /// Fills `dirty` (ascending) with every source the update may affect.
+  /// Fills `dirty` (ascending) with every source in [begin, end) (clipped
+  /// to the graph) that the update may affect — one apply lane's share.
   /// `graph` must already reflect the update (edge present for additions,
-  /// absent for removals). Traverses the CsrView snapshot when `use_csr`,
-  /// the adjacency lists otherwise.
-  Status Build(const Graph& graph, const EdgeUpdate& update, bool use_csr,
-               std::vector<VertexId>* dirty) {
-    return Build(graph, update, use_csr, 0, kInvalidVertex, dirty);
-  }
+  /// absent for removals). The endpoint traversals still cover the whole
+  /// graph; only the collection scan narrows.
+  Status Build(const Graph& graph, const EdgeUpdate& update, VertexId begin,
+               VertexId end, std::vector<VertexId>* dirty);
 
-  /// Same, keeping only the dirty sources in [begin, end) (clipped to the
-  /// graph) — one apply lane's share. The endpoint traversals still cover
-  /// the whole graph; only the collection scan narrows.
-  Status Build(const Graph& graph, const EdgeUpdate& update, bool use_csr,
-               VertexId begin, VertexId end, std::vector<VertexId>* dirty);
+  /// Same over every source. Kept only for perfbench/driver.cc, whose
+  /// serial decomposition still passes the retired traversal selector:
+  /// `true` (the graph's CsrView, the one adjacency there is) is the only
+  /// accepted value; `false` is InvalidArgument.
+  Status Build(const Graph& graph, const EdgeUpdate& update, bool csr,
+               std::vector<VertexId>* dirty) {
+    if (!csr) {
+      return Status::InvalidArgument(
+          "the prefilter always traverses the graph's CsrView");
+    }
+    return Build(graph, update, 0, kInvalidVertex, dirty);
+  }
 
   /// Selects the traversal kernel: 2-lane MS-BFS (default) or the scalar
   /// two-pass baseline, with the direction-switch tuning to use.
@@ -72,11 +78,9 @@ class SourcePrefilter {
   const MsBfsScratch& scratch() const { return scratch_; }
 
  private:
-  template <class Adj>
-  void Run(const Adj& adj, const EdgeUpdate& update, VertexId begin,
+  void Run(const CsrView& adj, const EdgeUpdate& update, VertexId begin,
            VertexId end, std::vector<VertexId>* dirty);
-  template <class Adj>
-  void Bfs(const Adj& adj, VertexId root, std::vector<Distance>* dist);
+  void Bfs(const CsrView& adj, VertexId root, std::vector<Distance>* dist);
 
   bool use_msbfs_ = true;
   MsBfsOptions msbfs_options_;

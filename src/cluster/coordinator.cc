@@ -92,6 +92,18 @@ Result<HelloAckMsg> ClusterCoordinator::Handshake(Connection* conn,
   return ack;
 }
 
+ClusterCoordinator::Shard ClusterCoordinator::ShardFromHello(
+    const std::string& address, const HelloAckMsg& hello) {
+  Shard shard;
+  shard.address = address;
+  shard.index = hello.shard_index;
+  shard.reported_count = hello.shard_count;
+  shard.range = hello.range;
+  shard.epoch = hello.epoch;
+  shard.health = hello.health;
+  return shard;
+}
+
 Result<std::unique_ptr<ClusterCoordinator>> ClusterCoordinator::Connect(
     Graph graph, const std::vector<std::string>& shard_addresses,
     Transport* transport, const ClusterCoordinatorOptions& options) {
@@ -153,14 +165,8 @@ Result<std::unique_ptr<ClusterCoordinator>> ClusterCoordinator::Connect(
           "shard " + address + " is read-only; restart it before bring-up");
     }
     newest_map_version = std::max(newest_map_version, ack->map_version);
-    Shard shard;
-    shard.address = address;
-    shard.index = ack->shard_index;
-    shard.reported_count = ack->shard_count;
-    shard.range = ack->range;
+    Shard shard = ShardFromHello(address, *ack);
     shard.conn = std::move(*conn);
-    shard.epoch = ack->epoch;
-    shard.health = ack->health;
     roster[ack->shard_index] = std::move(shard);
     seen[ack->shard_index] = true;
   }
@@ -879,13 +885,7 @@ Status ClusterCoordinator::ReconcileShards(std::uint64_t epoch,
             "); it never finished catching up, so it cannot take over");
       }
       newest_map_version = std::max(newest_map_version, hello->map_version);
-      Shard shard;
-      shard.address = address;
-      shard.index = hello->shard_index;
-      shard.reported_count = hello->shard_count;
-      shard.range = hello->range;
-      shard.epoch = hello->epoch;
-      shard.health = hello->health;
+      Shard shard = ShardFromHello(address, *hello);
       if (hello->epoch < epoch) {
         // The shard missed the primary's final batches; the standby holds
         // them all (replicate-before-fanout), so resend from its window.
@@ -1245,12 +1245,16 @@ Status ClusterCoordinator::BeginSplit(ControlRequest* request,
                       hello.status().message());
   }
   if (hello->epoch != epoch || !(hello->range == offer.range) ||
-      hello->map_version != new_version) {
+      hello->map_version != new_version ||
+      hello->shard_index != offer.shard_index ||
+      hello->shard_count != offer.shard_count) {
     return Status::Internal(
         "migration recipient " + request->recipient_address +
         " came up with the wrong identity (epoch " +
         std::to_string(hello->epoch) + ", map v" +
-        std::to_string(hello->map_version) + ")");
+        std::to_string(hello->map_version) + ", shard " +
+        std::to_string(hello->shard_index) + " of " +
+        std::to_string(hello->shard_count) + ")");
   }
   // One fetch to pin its stream position to the cut point.
   auto partial = FetchPartial(conn->get(), options_.shard_ack_timeout_seconds);
@@ -1261,13 +1265,7 @@ Status ClusterCoordinator::BeginSplit(ControlRequest* request,
                             " is not at the offered cut point");
   }
 
-  Shard joining;
-  joining.address = request->recipient_address;
-  joining.index = offer.shard_index;
-  joining.reported_count = offer.shard_count;
-  joining.range = hello->range;
-  joining.epoch = hello->epoch;
-  joining.health = hello->health;
+  Shard joining = ShardFromHello(request->recipient_address, *hello);
   joining.joining = true;
   joining.conn = std::move(*conn);
 

@@ -280,6 +280,11 @@ class ClusterCoordinator : private ApplyBackend, private WriterPipeline {
   /// Hello/HelloAck over an open connection.
   static Result<HelloAckMsg> Handshake(Connection* conn, const Graph& graph,
                                        double timeout_seconds);
+  /// The roster entry a handshake describes: identity, range, epoch and
+  /// health as the shard reported them. Callers validate `hello` first
+  /// and attach the connection themselves.
+  static Shard ShardFromHello(const std::string& address,
+                              const HelloAckMsg& hello);
 
   // The replicated ApplyBackend. Apply validates the batch against and
   // advances the replica (a poison batch dies here, before any shard sees

@@ -20,43 +20,38 @@ constexpr std::size_t kMinCompactArena = 1024;
 
 }  // namespace
 
-void CsrView::Build(const Graph& graph) {
-  const std::size_t n = graph.NumVertices();
-  directed_ = graph.directed();
-
-  auto fill = [n](Arena* a, auto neighbors_of) {
+void CsrView::Build(std::span<const std::vector<VertexId>> out,
+                    std::span<const std::vector<VertexId>> in) {
+  auto fill = [](Arena* a, std::span<const std::vector<VertexId>> lists) {
+    const std::size_t n = lists.size();
     a->slots.assign(n, Slot{});
     a->cap.assign(n, 0);
     a->dead = 0;
     std::size_t total = 0;
-    for (VertexId v = 0; v < n; ++v) {
-      const std::size_t deg = neighbors_of(v).size();
-      total += deg + SlackFor(deg);
+    for (const auto& list : lists) {
+      total += list.size() + SlackFor(list.size());
     }
     SOBC_CHECK(total <= std::numeric_limits<std::uint32_t>::max());
     a->arena.assign(total, kInvalidVertex);
     std::uint32_t cursor = 0;
     for (VertexId v = 0; v < n; ++v) {
-      const auto neighbors = neighbors_of(v);
+      const auto& list = lists[v];
       Slot& s = a->slots[v];
       s.begin = cursor;
-      s.count = static_cast<std::uint32_t>(neighbors.size());
-      a->cap[v] = s.count + SlackFor(neighbors.size());
-      std::copy(neighbors.begin(), neighbors.end(),
-                a->arena.begin() + s.begin);
+      s.count = static_cast<std::uint32_t>(list.size());
+      a->cap[v] = s.count + SlackFor(list.size());
+      std::copy(list.begin(), list.end(), a->arena.begin() + s.begin);
       cursor += a->cap[v];
     }
   };
 
-  fill(&out_, [&graph](VertexId v) { return graph.OutNeighbors(v); });
+  fill(&out_, out);
   if (directed_) {
-    fill(&in_, [&graph](VertexId v) { return graph.InNeighbors(v); });
+    fill(&in_, in);
   } else {
     in_ = Arena{};
   }
-  built_ = true;
   ++stats_.builds;
-  ++epoch_;
 }
 
 void CsrView::Relocate(Arena* a, VertexId u, std::uint32_t new_cap) {
@@ -78,10 +73,13 @@ void CsrView::Relocate(Arena* a, VertexId u, std::uint32_t new_cap) {
 }
 
 void CsrView::MaybeCompact(Arena* a) {
-  if (a->arena.size() < kMinCompactArena || a->dead * 2 < a->arena.size()) {
+  // Doubling keeps every vertex's abandoned blocks smaller than its live
+  // one, so dead space stays below half the arena by construction; a third
+  // (dead >= half the live blocks) is the reachable trigger.
+  if (a->arena.size() < kMinCompactArena || a->dead * 3 < a->arena.size()) {
     return;
   }
-  // More than half the arena is abandoned blocks: rewrite it front-to-back,
+  // A third of the arena is abandoned blocks: rewrite it front-to-back,
   // re-applying the standard slack. Amortized against the relocations that
   // created the garbage, so per-mutation cost stays O(degree).
   std::vector<VertexId> fresh;
@@ -117,20 +115,20 @@ void CsrView::ArenaAdd(Arena* a, VertexId u, VertexId v) {
   ++s.count;
 }
 
-void CsrView::ArenaRemove(Arena* a, VertexId u, VertexId v) {
+bool CsrView::ArenaRemove(Arena* a, VertexId u, VertexId v) {
   Slot& s = a->slots[u];
   VertexId* block = a->arena.data() + s.begin;
   for (std::uint32_t i = 0; i < s.count; ++i) {
     if (block[i] == v) {
       block[i] = block[s.count - 1];
       --s.count;
-      return;
+      return true;
     }
   }
-  SOBC_DCHECK(false && "CsrView out of sync: removed edge not in block");
+  return false;
 }
 
-void CsrView::PatchGrow(std::size_t n) {
+void CsrView::Grow(std::size_t n) {
   if (n <= out_.slots.size()) return;
   // New vertices start with an empty zero-capacity block; their first
   // addition relocates to a fresh block at the arena tail.
@@ -140,10 +138,9 @@ void CsrView::PatchGrow(std::size_t n) {
     in_.slots.resize(n, Slot{});
     in_.cap.resize(n, 0);
   }
-  ++epoch_;
 }
 
-void CsrView::PatchAddEdge(VertexId u, VertexId v) {
+void CsrView::AddEdge(VertexId u, VertexId v) {
   SOBC_DCHECK(u < out_.slots.size() && v < out_.slots.size());
   ArenaAdd(&out_, u, v);
   if (directed_) {
@@ -152,19 +149,17 @@ void CsrView::PatchAddEdge(VertexId u, VertexId v) {
     ArenaAdd(&out_, v, u);
   }
   ++stats_.patches;
-  ++epoch_;
 }
 
-void CsrView::PatchRemoveEdge(VertexId u, VertexId v) {
+bool CsrView::RemoveEdge(VertexId u, VertexId v) {
   SOBC_DCHECK(u < out_.slots.size() && v < out_.slots.size());
-  ArenaRemove(&out_, u, v);
-  if (directed_) {
-    ArenaRemove(&in_, v, u);
-  } else {
-    ArenaRemove(&out_, v, u);
-  }
+  if (!ArenaRemove(&out_, u, v)) return false;
+  const bool reverse =
+      directed_ ? ArenaRemove(&in_, v, u) : ArenaRemove(&out_, v, u);
+  SOBC_DCHECK(reverse && "CsrView out of sync: edge lacks its reverse entry");
+  (void)reverse;
   ++stats_.patches;
-  ++epoch_;
+  return true;
 }
 
 }  // namespace sobc

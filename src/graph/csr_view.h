@@ -5,57 +5,96 @@
 #include <span>
 #include <vector>
 
-#include "graph/graph.h"
-
 namespace sobc {
 
-/// A packed adjacency snapshot of a Graph: one contiguous neighbor arena per
+/// Dense vertex identifier; vertices are 0..NumVertices()-1.
+using VertexId = std::uint32_t;
+
+inline constexpr VertexId kInvalidVertex = static_cast<VertexId>(-1);
+
+/// An edge key. For undirected graphs the canonical form has u <= v so the
+/// same key is produced regardless of insertion order; for directed graphs
+/// the key is (source, target) as-is.
+struct EdgeKey {
+  VertexId u = kInvalidVertex;
+  VertexId v = kInvalidVertex;
+
+  /// Canonical undirected key (endpoints sorted).
+  static EdgeKey Undirected(VertexId a, VertexId b) {
+    return a <= b ? EdgeKey{a, b} : EdgeKey{b, a};
+  }
+
+  friend bool operator==(const EdgeKey&, const EdgeKey&) = default;
+  friend bool operator<(const EdgeKey& a, const EdgeKey& b) {
+    return a.u != b.u ? a.u < b.u : a.v < b.v;
+  }
+};
+
+/// Canonical key for an edge of a graph with the given orientation mode.
+inline EdgeKey MakeEdgeKey(bool directed, VertexId u, VertexId v) {
+  return directed ? EdgeKey{u, v} : EdgeKey::Undirected(u, v);
+}
+
+/// Hash functor for EdgeKey-keyed hash maps.
+struct EdgeKeyHash {
+  std::size_t operator()(const EdgeKey& e) const {
+    // Splittable 64-bit mix of the packed endpoints.
+    std::uint64_t x =
+        (static_cast<std::uint64_t>(e.u) << 32) | static_cast<std::uint64_t>(e.v);
+    x ^= x >> 33;
+    x *= 0xFF51AFD7ED558CCDULL;
+    x ^= x >> 33;
+    x *= 0xC4CEB9FE1A85EC53ULL;
+    x ^= x >> 33;
+    return static_cast<std::size_t>(x);
+  }
+};
+
+/// The adjacency store of a Graph: one contiguous neighbor arena per
 /// direction plus a {begin, count} slot pair per vertex, so the traversal
 /// hot paths (Brandes sweeps, incremental repair, analysis BFS) walk flat
-/// memory instead of pointer-chasing `vector<vector>` lists.
+/// memory instead of pointer-chasing per-vertex lists. A Graph owns exactly
+/// one, by value, and validates every mutation before forwarding it here.
 ///
-/// The view is built once from a Graph and then *patched* in O(degree) per
-/// edge mutation instead of rebuilt:
+/// Mutation is O(degree) per edge:
 ///   * every vertex block carries slack capacity, so most additions write
 ///     in place;
 ///   * a full block relocates to the end of the arena with doubled capacity
 ///     when it overflows (amortized O(1) slots per addition);
 ///   * removal swap-erases within the block;
-///   * when more than half the arena is dead (abandoned blocks), one
+///   * when a third of the arena is dead (abandoned blocks), one
 ///     compaction pass rewrites it — amortized O(1) per mutation, and the
 ///     only operation that moves blocks of untouched vertices.
+/// Neighbor order is part of the contract (DESIGN.md §6): an addition
+/// appends, a removal moves the block's last entry into the hole, and
+/// relocation and compaction copy blocks verbatim.
 ///
-/// Epoch contract (see DESIGN.md §6): `epoch()` increments on every
-/// mutation of the view (build, patch, compaction). A consumer that caches
-/// anything derived from the view records the epoch at derivation time and
-/// treats a later mismatch as "stale — re-derive". Spans returned by
-/// OutNeighbors/InNeighbors are invalidated by any epoch change.
+/// Spans returned by OutNeighbors/InNeighbors are invalidated by *any*
+/// mutation of the store — an addition may grow, and so move, the whole
+/// arena.
 ///
-/// Thread safety: concurrent readers are safe; any mutation (including the
-/// lazily-building Graph::csr() *first* call) must be exclusive. The
-/// dynamic-BC drivers build the view up front and mutate it only between
-/// parallel sections, so all p mappers of one update share a single
-/// read-only snapshot.
+/// Thread safety: concurrent readers are safe; any mutation must be
+/// exclusive. Each DynamicBc apply lane steps its own graph replica
+/// (DESIGN.md §9), so no store is read while another thread mutates it.
 class CsrView {
  public:
-  /// Observability counters; `builds` is the rebuild counter the
-  /// O(degree)-patching guarantee is asserted against (it must not grow
-  /// while a DynamicBc applies updates).
+  /// Observability counters; `builds` counts bulk loads (Build), which no
+  /// edge-by-edge mutation ever triggers.
   struct Stats {
-    std::uint64_t builds = 0;       // full (re)builds from the Graph
-    std::uint64_t patches = 0;      // O(degree) edge patches applied
+    std::uint64_t builds = 0;       // bulk loads from explicit lists
+    std::uint64_t patches = 0;      // O(degree) edge mutations applied
     std::uint64_t relocations = 0;  // vertex blocks moved for headroom
     std::uint64_t compactions = 0;  // arena garbage-collection passes
   };
 
-  CsrView() = default;
+  explicit CsrView(bool directed = false) : directed_(directed) {}
 
-  /// Rebuilds the snapshot from `graph`, with per-vertex slack. Invalidates
-  /// all outstanding spans and bumps the epoch.
-  void Build(const Graph& graph);
+  /// Replaces the contents with the given lists, copied verbatim with
+  /// per-vertex slack. `in` is ignored for undirected views and must be
+  /// parallel to `out` for directed ones; entries must be < out.size().
+  void Build(std::span<const std::vector<VertexId>> out,
+             std::span<const std::vector<VertexId>> in);
 
-  bool built() const { return built_; }
-  std::uint64_t epoch() const { return epoch_; }
   const Stats& stats() const { return stats_; }
 
   std::size_t NumVertices() const { return out_.slots.size(); }
@@ -83,19 +122,20 @@ class CsrView {
     return directed_ ? in_.slots[v].count : out_.slots[v].count;
   }
 
-  // --- patch API ----------------------------------------------------------
-  // Graph calls these from its own mutators so the view tracks the source
-  // of truth; each is O(degree) of the touched endpoints (amortized for the
-  // relocation/compaction share) and bumps the epoch.
+  // --- mutation API -------------------------------------------------------
+  // Graph calls these from its own mutators after validating the edge; each
+  // is O(degree) of the touched endpoints (amortized for the
+  // relocation/compaction share).
 
   /// Grows the vertex set to `n` vertices; new vertices start isolated.
-  void PatchGrow(std::size_t n);
+  void Grow(std::size_t n);
 
-  /// Mirrors Graph::AddEdge(u, v). Endpoints must already exist.
-  void PatchAddEdge(VertexId u, VertexId v);
+  /// Appends edge (u, v). Endpoints must exist and the edge must be absent.
+  void AddEdge(VertexId u, VertexId v);
 
-  /// Mirrors Graph::RemoveEdge(u, v). The edge must be present.
-  void PatchRemoveEdge(VertexId u, VertexId v);
+  /// Swap-erases edge (u, v); returns false (and changes nothing) when the
+  /// edge is absent.
+  bool RemoveEdge(VertexId u, VertexId v);
 
  private:
   /// Hot per-vertex metadata: one 8-byte pair so a traversal touches a
@@ -113,43 +153,14 @@ class CsrView {
   };
 
   void ArenaAdd(Arena* a, VertexId u, VertexId v);
-  void ArenaRemove(Arena* a, VertexId u, VertexId v);
+  bool ArenaRemove(Arena* a, VertexId u, VertexId v);
   void Relocate(Arena* a, VertexId u, std::uint32_t new_cap);
   void MaybeCompact(Arena* a);
 
-  bool built_ = false;
   bool directed_ = false;
-  std::uint64_t epoch_ = 0;
   Stats stats_;
   Arena out_;
   Arena in_;  // used only when directed_
-};
-
-/// Adapter giving `const Graph&` the same adjacency interface as CsrView,
-/// so traversal kernels can be templated over the provider. This is the
-/// "before" path of the CSR migration: benches instantiate kernels with it
-/// to measure the pointer-chasing baseline, and the engines can fall back
-/// to it when asked to bypass the snapshot.
-class GraphAdjacency {
- public:
-  explicit GraphAdjacency(const Graph& graph) : graph_(&graph) {}
-
-  std::size_t NumVertices() const { return graph_->NumVertices(); }
-  bool directed() const { return graph_->directed(); }
-  EdgeKey MakeKey(VertexId u, VertexId v) const {
-    return graph_->MakeKey(u, v);
-  }
-  std::span<const VertexId> OutNeighbors(VertexId v) const {
-    return graph_->OutNeighbors(v);
-  }
-  std::span<const VertexId> InNeighbors(VertexId v) const {
-    return graph_->InNeighbors(v);
-  }
-  std::size_t OutDegree(VertexId v) const { return graph_->OutDegree(v); }
-  std::size_t InDegree(VertexId v) const { return graph_->InDegree(v); }
-
- private:
-  const Graph* graph_;
 };
 
 }  // namespace sobc

@@ -1,63 +1,20 @@
 #include "graph/graph.h"
 
 #include <algorithm>
-#include <mutex>
 #include <string>
-
-#include "graph/csr_view.h"
+#include <utility>
 
 namespace sobc {
 
-namespace {
-/// Serializes lazy first builds of CsrViews. Global because Graph must stay
-/// movable (a per-instance mutex would pin it); contention exists only for
-/// the one-off builds, never for reads or patches.
-std::mutex g_csr_build_mutex;
-}  // namespace
-
-Graph::Graph(bool directed) : directed_(directed) {}
-Graph::~Graph() = default;
-
 Graph::Graph(Graph&& other) noexcept
-    : directed_(other.directed_),
-      num_edges_(other.num_edges_),
-      out_(std::move(other.out_)),
-      in_(std::move(other.in_)),
-      csr_(std::move(other.csr_)),
-      csr_built_(other.csr_built_.load(std::memory_order_relaxed)) {
-  // The moved-from graph must read as valid-but-empty: its vectors are
-  // emptied by the move, so the edge counter and build flag follow.
-  other.num_edges_ = 0;
-  other.csr_built_.store(false, std::memory_order_relaxed);
-}
+    : num_edges_(std::exchange(other.num_edges_, 0)),
+      csr_(std::move(other.csr_)) {}
 
 Graph& Graph::operator=(Graph&& other) noexcept {
   if (this == &other) return *this;
-  directed_ = other.directed_;
-  num_edges_ = other.num_edges_;
-  out_ = std::move(other.out_);
-  in_ = std::move(other.in_);
+  num_edges_ = std::exchange(other.num_edges_, 0);
   csr_ = std::move(other.csr_);
-  csr_built_.store(other.csr_built_.load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-  other.num_edges_ = 0;
-  other.csr_built_.store(false, std::memory_order_relaxed);
   return *this;
-}
-
-Graph::Graph(const Graph& other)
-    : directed_(other.directed_),
-      num_edges_(other.num_edges_),
-      out_(other.out_),
-      in_(other.in_) {
-  // Copying is a const read and may race another thread's lazy first
-  // build: only touch other.csr_ once the acquire load confirms the build
-  // published (pairs with the release store in csr()). A false flag just
-  // means the copy rebuilds lazily on its own first csr() call.
-  if (other.csr_built_.load(std::memory_order_acquire)) {
-    csr_ = std::make_unique<CsrView>(*other.csr_);
-    csr_built_.store(true, std::memory_order_relaxed);
-  }
 }
 
 Result<Graph> Graph::FromAdjacency(bool directed,
@@ -98,59 +55,13 @@ Result<Graph> Graph::FromAdjacency(bool directed,
   }
   Graph graph(directed);
   graph.num_edges_ = directed ? half_edges : half_edges / 2;
-  graph.out_ = std::move(out);
-  graph.in_ = std::move(in);
+  graph.csr_.Build(out, in);
   return graph;
 }
 
-Graph& Graph::operator=(const Graph& other) {
-  if (this == &other) return *this;
-  directed_ = other.directed_;
-  num_edges_ = other.num_edges_;
-  out_ = other.out_;
-  in_ = other.in_;
-  if (other.csr_built_.load(std::memory_order_acquire)) {
-    csr_ = std::make_unique<CsrView>(*other.csr_);
-    csr_built_.store(true, std::memory_order_relaxed);
-  } else {
-    csr_ = nullptr;
-    csr_built_.store(false, std::memory_order_relaxed);
-  }
-  return *this;
-}
-
-const CsrView& Graph::csr() const {
-  // Double-checked lazy build so read-only traversal APIs (ComputeBrandes,
-  // the analysis passes) stay safe to call concurrently on a shared const
-  // graph even when they race on the first build.
-  if (!csr_built_.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(g_csr_build_mutex);
-    if (!csr_built_.load(std::memory_order_relaxed)) {
-      if (csr_ == nullptr) csr_ = std::make_unique<CsrView>();
-      if (!csr_->built()) csr_->Build(*this);
-      csr_built_.store(true, std::memory_order_release);
-    }
-  }
-  return *csr_;
-}
-
 bool Graph::EnsureVertex(VertexId id) {
-  if (id < out_.size()) return false;
-  out_.resize(id + 1);
-  if (directed_) in_.resize(id + 1);
-  if (csr_ != nullptr) csr_->PatchGrow(out_.size());
-  return true;
-}
-
-bool Graph::ListContains(const std::vector<VertexId>& list, VertexId x) {
-  return std::find(list.begin(), list.end(), x) != list.end();
-}
-
-bool Graph::ListErase(std::vector<VertexId>* list, VertexId x) {
-  auto it = std::find(list->begin(), list->end(), x);
-  if (it == list->end()) return false;
-  *it = list->back();
-  list->pop_back();
+  if (id < NumVertices()) return false;
+  csr_.Grow(std::size_t{id} + 1);
   return true;
 }
 
@@ -160,39 +71,28 @@ Status Graph::AddEdge(VertexId u, VertexId v) {
                                    std::to_string(u));
   }
   EnsureVertex(std::max(u, v));
-  if (ListContains(out_[u], v)) {
+  if (HasEdge(u, v)) {
     return Status::AlreadyExists("edge (" + std::to_string(u) + "," +
                                  std::to_string(v) + ") already present");
   }
-  out_[u].push_back(v);
-  if (directed_) {
-    in_[v].push_back(u);
-  } else {
-    out_[v].push_back(u);
-  }
+  csr_.AddEdge(u, v);
   ++num_edges_;
-  if (csr_ != nullptr) csr_->PatchAddEdge(u, v);
   return Status::OK();
 }
 
 Status Graph::RemoveEdge(VertexId u, VertexId v) {
-  if (u >= out_.size() || v >= out_.size() || !ListErase(&out_[u], v)) {
+  if (u >= NumVertices() || v >= NumVertices() || !csr_.RemoveEdge(u, v)) {
     return Status::NotFound("edge (" + std::to_string(u) + "," +
                             std::to_string(v) + ") not present");
   }
-  if (directed_) {
-    ListErase(&in_[v], u);
-  } else {
-    ListErase(&out_[v], u);
-  }
   --num_edges_;
-  if (csr_ != nullptr) csr_->PatchRemoveEdge(u, v);
   return Status::OK();
 }
 
 bool Graph::HasEdge(VertexId u, VertexId v) const {
-  if (u >= out_.size() || v >= out_.size()) return false;
-  return ListContains(out_[u], v);
+  if (u >= NumVertices() || v >= NumVertices()) return false;
+  const auto list = csr_.OutNeighbors(u);
+  return std::find(list.begin(), list.end(), v) != list.end();
 }
 
 std::vector<EdgeKey> Graph::Edges() const {

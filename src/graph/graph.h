@@ -1,63 +1,17 @@
 #ifndef SOBC_GRAPH_GRAPH_H_
 #define SOBC_GRAPH_GRAPH_H_
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "common/status.h"
+#include "graph/csr_view.h"
 
 namespace sobc {
 
-/// Dense vertex identifier; vertices are 0..NumVertices()-1.
-using VertexId = std::uint32_t;
-
-inline constexpr VertexId kInvalidVertex = static_cast<VertexId>(-1);
-
-/// An edge key. For undirected graphs the canonical form has u <= v so the
-/// same key is produced regardless of insertion order; for directed graphs
-/// the key is (source, target) as-is.
-struct EdgeKey {
-  VertexId u = kInvalidVertex;
-  VertexId v = kInvalidVertex;
-
-  /// Canonical undirected key (endpoints sorted).
-  static EdgeKey Undirected(VertexId a, VertexId b) {
-    return a <= b ? EdgeKey{a, b} : EdgeKey{b, a};
-  }
-
-  friend bool operator==(const EdgeKey&, const EdgeKey&) = default;
-  friend bool operator<(const EdgeKey& a, const EdgeKey& b) {
-    return a.u != b.u ? a.u < b.u : a.v < b.v;
-  }
-};
-
-/// Canonical key for an edge of a graph with the given orientation mode.
-inline EdgeKey MakeEdgeKey(bool directed, VertexId u, VertexId v) {
-  return directed ? EdgeKey{u, v} : EdgeKey::Undirected(u, v);
-}
-
-/// Hash functor for EdgeKey-keyed hash maps.
-struct EdgeKeyHash {
-  std::size_t operator()(const EdgeKey& e) const {
-    // Splittable 64-bit mix of the packed endpoints.
-    std::uint64_t x =
-        (static_cast<std::uint64_t>(e.u) << 32) | static_cast<std::uint64_t>(e.v);
-    x ^= x >> 33;
-    x *= 0xFF51AFD7ED558CCDULL;
-    x ^= x >> 33;
-    x *= 0xC4CEB9FE1A85EC53ULL;
-    x ^= x >> 33;
-    return static_cast<std::size_t>(x);
-  }
-};
-
-class CsrView;
-
-/// A mutable graph stored as adjacency lists, supporting the edge-by-edge
-/// evolution the framework processes (Section 3 of the paper).
+/// A mutable graph supporting the edge-by-edge evolution the framework
+/// processes (Section 3 of the paper).
 ///
 /// * Undirected mode keeps a single neighbor list per vertex.
 /// * Directed mode keeps out-neighbor and in-neighbor lists; the search
@@ -68,18 +22,18 @@ class CsrView;
 /// AlreadyExists. Vertices are created implicitly by AddEdge, or explicitly
 /// with EnsureVertex.
 ///
-/// The graph also owns a CsrView — a packed adjacency snapshot the
-/// traversal hot paths consume (see csr_view.h). The view is built lazily
-/// on first csr() access and from then on kept in sync by O(degree)
-/// patches applied inside AddEdge/RemoveEdge/EnsureVertex, never rebuilt.
+/// The neighbor lists live in one CsrView the graph owns by value (see
+/// csr_view.h): every accessor below reads it and every mutator patches it
+/// in O(degree). A span from OutNeighbors/InNeighbors is invalidated by any
+/// later mutation of the graph, whichever vertex it touches (DESIGN.md §6).
 class Graph {
  public:
-  explicit Graph(bool directed = false);
-  ~Graph();
-  Graph(const Graph& other);
-  Graph& operator=(const Graph& other);
-  Graph(Graph&&) noexcept;
-  Graph& operator=(Graph&&) noexcept;
+  explicit Graph(bool directed = false) : csr_(directed) {}
+  Graph(const Graph&) = default;
+  Graph& operator=(const Graph&) = default;
+  /// A moved-from graph reads as valid-but-empty, edge count included.
+  Graph(Graph&& other) noexcept;
+  Graph& operator=(Graph&& other) noexcept;
 
   /// Reconstructs a graph from explicit adjacency lists — the
   /// order-preserving checkpoint format (graph_io.h WriteAdjacency).
@@ -92,8 +46,8 @@ class Graph {
                                      std::vector<std::vector<VertexId>> out,
                                      std::vector<std::vector<VertexId>> in);
 
-  bool directed() const { return directed_; }
-  std::size_t NumVertices() const { return out_.size(); }
+  bool directed() const { return csr_.directed(); }
+  std::size_t NumVertices() const { return csr_.NumVertices(); }
   std::size_t NumEdges() const { return num_edges_; }
 
   /// Grows the vertex set so that `id` is valid. Returns true if the vertex
@@ -107,39 +61,38 @@ class Graph {
   Status RemoveEdge(VertexId u, VertexId v);
 
   bool HasEdge(VertexId u, VertexId v) const;
-  bool HasVertex(VertexId id) const { return id < out_.size(); }
+  bool HasVertex(VertexId id) const { return id < NumVertices(); }
 
   /// Neighbors reachable by following an edge out of v (search direction).
   /// For undirected graphs this is simply v's neighbor list.
   std::span<const VertexId> OutNeighbors(VertexId v) const {
-    return {out_[v].data(), out_[v].size()};
+    return csr_.OutNeighbors(v);
   }
 
   /// Neighbors with an edge into v (backtracking direction). Equal to
   /// OutNeighbors for undirected graphs.
   std::span<const VertexId> InNeighbors(VertexId v) const {
-    const auto& lists = directed_ ? in_ : out_;
-    return {lists[v].data(), lists[v].size()};
+    return csr_.InNeighbors(v);
   }
 
-  std::size_t OutDegree(VertexId v) const { return out_[v].size(); }
-  std::size_t InDegree(VertexId v) const {
-    return directed_ ? in_[v].size() : out_[v].size();
-  }
+  std::size_t OutDegree(VertexId v) const { return csr_.OutDegree(v); }
+  std::size_t InDegree(VertexId v) const { return csr_.InDegree(v); }
 
   /// Total degree: out+in for directed graphs, plain degree otherwise.
   std::size_t Degree(VertexId v) const {
-    return directed_ ? out_[v].size() + in_[v].size() : out_[v].size();
+    return directed() ? OutDegree(v) + InDegree(v) : OutDegree(v);
   }
 
   /// Invokes fn(u, v) for every edge once (canonical orientation for
   /// undirected graphs: u < v). Templated so the callback inlines into the
-  /// scan — no std::function indirection per edge.
+  /// scan — no std::function indirection per edge. `fn` must not mutate
+  /// the graph.
   template <class Fn>
   void ForEachEdge(Fn&& fn) const {
-    for (VertexId u = 0; u < out_.size(); ++u) {
-      for (VertexId v : out_[u]) {
-        if (directed_ || u < v) fn(u, v);
+    const bool directed = csr_.directed();
+    for (VertexId u = 0; u < NumVertices(); ++u) {
+      for (VertexId v : csr_.OutNeighbors(u)) {
+        if (directed || u < v) fn(u, v);
       }
     }
   }
@@ -148,28 +101,14 @@ class Graph {
   std::vector<EdgeKey> Edges() const;
 
   /// Canonical key for an edge of this graph.
-  EdgeKey MakeKey(VertexId u, VertexId v) const {
-    return MakeEdgeKey(directed_, u, v);
-  }
+  EdgeKey MakeKey(VertexId u, VertexId v) const { return csr_.MakeKey(u, v); }
 
-  /// The packed traversal snapshot, built on first access and patched in
-  /// O(degree) by every later mutation. The lazy build is guarded
-  /// (double-checked, one build mutex), so concurrent const readers are
-  /// safe even when they race on the first call; only concurrent
-  /// *mutation* of the graph requires external exclusion, as ever.
-  const CsrView& csr() const;
+  /// The adjacency store itself — what the traversal kernels take.
+  const CsrView& csr() const { return csr_; }
 
  private:
-  static bool ListContains(const std::vector<VertexId>& list, VertexId x);
-  static bool ListErase(std::vector<VertexId>* list, VertexId x);
-
-  bool directed_;
   std::size_t num_edges_ = 0;
-  std::vector<std::vector<VertexId>> out_;
-  std::vector<std::vector<VertexId>> in_;  // used only when directed_
-  mutable std::unique_ptr<CsrView> csr_;   // lazily built, then patched
-  /// Publishes csr_ to concurrent readers of the lazy first build.
-  mutable std::atomic<bool> csr_built_{false};
+  CsrView csr_;
 };
 
 }  // namespace sobc

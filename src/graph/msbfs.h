@@ -9,7 +9,7 @@
 
 #include "bc/bc_types.h"
 #include "common/logging.h"
-#include "graph/graph.h"
+#include "graph/csr_view.h"
 
 namespace sobc {
 
@@ -99,10 +99,10 @@ struct MsBfsScratch {
 /// `reverse` traverses InNeighbors instead of OutNeighbors — the directed
 /// prefilter's "distances *to* the root" orientation. Undirected graphs
 /// are insensitive to it.
-template <class Adj>
-void MsBfsRun(const Adj& adj, std::span<const VertexId> sources, bool reverse,
-              const MsBfsOptions& options, MsBfsScratch* scratch,
-              std::span<Distance* const> dist, MsBfsStats* stats = nullptr) {
+inline void MsBfsRun(const CsrView& adj, std::span<const VertexId> sources,
+                     bool reverse, const MsBfsOptions& options,
+                     MsBfsScratch* scratch, std::span<Distance* const> dist,
+                     MsBfsStats* stats = nullptr) {
   const std::size_t n = adj.NumVertices();
   const std::size_t lanes = sources.size();
   SOBC_CHECK(lanes > 0 && lanes <= MsBfsScratch::kLanes);
@@ -224,10 +224,9 @@ void MsBfsRun(const Adj& adj, std::span<const VertexId> sources, bool reverse,
 /// minimum-id backward neighbor one level up (kInvalidVertex for the source
 /// and for unreached vertices). Deterministic in the distances alone, so
 /// batched and scalar kernels agree exactly — the contract msbfs_test pins.
-template <class Adj>
-void MsBfsCanonicalParents(const Adj& adj, bool reverse,
-                           std::span<const Distance> dist,
-                           std::vector<VertexId>* parent) {
+inline void MsBfsCanonicalParents(const CsrView& adj, bool reverse,
+                                  std::span<const Distance> dist,
+                                  std::vector<VertexId>* parent) {
   const std::size_t n = adj.NumVertices();
   parent->assign(n, kInvalidVertex);
   for (VertexId v = 0; v < n; ++v) {

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <span>
 #include <string>
+#include <vector>
 
+#include "common/rng.h"
 #include "graph/edge_stream.h"
 #include "graph/graph.h"
 #include "graph/graph_io.h"
@@ -185,6 +188,47 @@ TEST_F(GraphIoTest, ReadMissingFileFails) {
   auto loaded = ReadEdgeList("/nonexistent/sobc/file.txt");
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
+}
+
+TEST_F(GraphIoTest, AdjacencyRoundTripAfterRelocationAndCompaction) {
+  for (const bool directed : {false, true}) {
+    Graph g(directed);
+    Rng rng(directed ? 5 : 6);
+    // Additions on 600 vertices push every block through several
+    // relocations (abandoning enough arena to compact); the removals make
+    // swap-erase reorder lists before and after.
+    for (int step = 0; step < 12000; ++step) {
+      const auto u = static_cast<VertexId>(rng.Uniform(600));
+      const auto v = static_cast<VertexId>(rng.Uniform(600));
+      if (u == v) continue;
+      if (g.HasEdge(u, v) && rng.Uniform(4) == 0) {
+        ASSERT_TRUE(g.RemoveEdge(u, v).ok());
+      } else {
+        (void)g.AddEdge(u, v);
+      }
+    }
+    ASSERT_GT(g.csr().stats().relocations, 0u);
+    ASSERT_GT(g.csr().stats().compactions, 0u);
+    const std::string path =
+        TempPath(directed ? "churn_directed.adj" : "churn.adj");
+    ASSERT_TRUE(WriteAdjacency(g, path).ok());
+    auto loaded = ReadAdjacency(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded->directed(), directed);
+    EXPECT_EQ(loaded->NumEdges(), g.NumEdges());
+    ASSERT_EQ(loaded->NumVertices(), g.NumVertices());
+    auto as_vector = [](std::span<const VertexId> s) {
+      return std::vector<VertexId>(s.begin(), s.end());
+    };
+    for (VertexId v = 0; v < g.NumVertices(); ++v) {
+      EXPECT_EQ(as_vector(loaded->OutNeighbors(v)),
+                as_vector(g.OutNeighbors(v)))
+          << "out-list of " << v << (directed ? " (directed)" : "");
+      EXPECT_EQ(as_vector(loaded->InNeighbors(v)),
+                as_vector(g.InNeighbors(v)))
+          << "in-list of " << v << (directed ? " (directed)" : "");
+    }
+  }
 }
 
 TEST_F(GraphIoTest, StreamRoundTrip) {

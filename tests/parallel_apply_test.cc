@@ -245,16 +245,14 @@ TEST(ParallelApply, PrefilterSkipsSourcesWithoutChangingScores) {
   ExpectScoresNear((*b)->scores(), (*a)->scores(), kTol, "prefilter on/off");
 }
 
-TEST(ParallelApply, AdjacencyListFallbackMatchesUnderThreads) {
-  // use_csr=false routes prefilter BFS and repair kernels through the
-  // pointer-chasing GraphAdjacency provider; the sharded drain must not
-  // care which provider it monomorphized against.
+TEST(ParallelApply, FourLaneChurnMatchesBrandes) {
+  // Per-update apply across four lanes on a removal-heavy churn stream must
+  // land on from-scratch Brandes over the replayed graph.
   const auto [base, stream] = testlib::ChurnScenario(
       /*seed=*/1008, /*n=*/28, /*extra_edges=*/30, /*updates=*/12,
       /*remove_fraction=*/0.4);
 
   DynamicBcOptions options;
-  options.use_csr = false;
   options.num_threads = 4;
   auto bc = DynamicBc::Create(base, options);
   ASSERT_TRUE(bc.ok());
@@ -264,7 +262,7 @@ TEST(ParallelApply, AdjacencyListFallbackMatchesUnderThreads) {
     ASSERT_TRUE((*bc)->Apply(update).ok());
   }
   ExpectScoresNear(ComputeBrandes(replay), (*bc)->scores(), kTol,
-                   "adjacency fallback");
+                   "four-lane churn");
 }
 
 TEST(ParallelApply, BatchedParallelApplyMatchesPerUpdate) {

@@ -160,7 +160,7 @@ struct CliArgs {
   std::size_t approx_samples = 0;
   double epsilon = 0.1;
   // out-of-core storage engine
-  std::string store_codec = "raw";
+  RecordCodecId store_codec = RecordCodecId::kRaw;
   std::size_t cache_mb = 64;
   bool prefetch = true;
   // serve options
@@ -243,6 +243,12 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       args->directed = true;
     } else if (arg.rfind("--variant=", 0) == 0) {
       args->variant = arg.substr(10);
+      if (args->variant != "mo" && args->variant != "mp" &&
+          args->variant != "do") {
+        std::fprintf(stderr, "--variant: expected mo|mp|do: %s\n",
+                     args->variant.c_str());
+        return false;
+      }
     } else if (arg.rfind("--store=", 0) == 0) {
       args->store_path = arg.substr(8);
     } else if (arg.rfind("--out=", 0) == 0) {
@@ -336,7 +342,13 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       }
       args->epsilon = *value;
     } else if (arg.rfind("--store-codec=", 0) == 0) {
-      args->store_codec = arg.substr(14);
+      auto codec = ParseRecordCodec(arg.substr(14));
+      if (!codec.ok()) {
+        std::fprintf(stderr, "--store-codec: %s\n",
+                     codec.status().ToString().c_str());
+        return false;
+      }
+      args->store_codec = *codec;
     } else if (arg.rfind("--cache-mb=", 0) == 0) {
       if (!ParseCountFlag("cache-mb", arg.substr(11), &args->cache_mb)) {
         return false;
@@ -436,18 +448,64 @@ void PrintTop(const BcScores& scores, std::size_t k) {
   }
 }
 
-/// Copies the storage-engine flags onto a DynamicBcOptions; false (with a
-/// message) for an unknown codec name.
-bool ApplyStorageFlags(const CliArgs& args, DynamicBcOptions* options) {
-  auto codec = ParseRecordCodec(args.store_codec);
-  if (!codec.ok()) {
-    std::fprintf(stderr, "%s\n", codec.status().ToString().c_str());
-    return false;
+/// The framework options of every command that runs the engine: variant
+/// (an out-of-core store lives at --store, else at `default_store`), apply
+/// lanes, traversal kernels, sampled approximation and storage engine.
+/// ParseArgs has already validated --variant and --store-codec.
+DynamicBcOptions BuildBcOptions(const CliArgs& args,
+                                const std::string& default_store) {
+  DynamicBcOptions options;
+  if (args.variant == "mp") {
+    options.variant = BcVariant::kMemoryPredecessors;
+  } else if (args.variant == "do") {
+    options.variant = BcVariant::kOutOfCore;
+    options.storage_path =
+        args.store_path.empty() ? default_store : args.store_path;
   }
-  options->store_codec = *codec;
-  options->cache_mb = args.cache_mb;
-  options->prefetch = args.prefetch;
-  return true;
+  options.num_threads = args.threads;
+  options.prefilter = args.prefilter;
+  options.msbfs = args.msbfs;
+  options.do_switch_threshold = args.do_switch_threshold;
+  options.approx_samples = args.approx_samples;
+  options.approx_epsilon = args.epsilon;
+  options.approx_seed = args.seed;
+  options.store_codec = args.store_codec;
+  options.cache_mb = args.cache_mb;
+  options.prefetch = args.prefetch;
+  return options;
+}
+
+/// The write-ahead log and checkpoint policy of serve, recover and shard.
+DurabilityOptions BuildDurabilityOptions(const CliArgs& args) {
+  DurabilityOptions durability;
+  durability.wal_dir = args.wal_dir;
+  durability.checkpoint_dir = args.checkpoint_dir;
+  durability.wal_fsync_every = args.fsync_every;
+  durability.checkpoint_every_updates = args.checkpoint_every;
+  durability.checkpoint_interval_seconds = args.checkpoint_interval;
+  durability.kill_after_appends = args.kill_after;
+  return durability;
+}
+
+/// The update queue of serve, recover and cluster.
+UpdateQueueOptions BuildQueueOptions(const CliArgs& args) {
+  UpdateQueueOptions queue;
+  queue.capacity = args.queue_cap;
+  queue.max_batch = args.batch;
+  queue.batch_latency_budget_seconds = args.budget_ms / 1e3;
+  queue.coalesce = args.coalesce;
+  return queue;
+}
+
+/// The cluster embodiment runs exact only (approx x cluster is parked):
+/// refuses --approx for shard and cluster before any work starts.
+bool RejectApproxInCluster(const CliArgs& args, const char* command) {
+  if (args.approx_samples == 0) return true;
+  std::fprintf(stderr,
+               "--approx: %s runs the exact framework only; the sampled "
+               "approximation is single-process (stream, serve, recover)\n",
+               command);
+  return false;
 }
 
 /// The per-store footprint block of `stats --store` and the DO replay
@@ -544,26 +602,8 @@ int CmdStream(const CliArgs& args) {
     std::fprintf(stderr, "%s\n", stream.status().ToString().c_str());
     return 1;
   }
-  DynamicBcOptions options;
-  if (args.variant == "mp") {
-    options.variant = BcVariant::kMemoryPredecessors;
-  } else if (args.variant == "do") {
-    options.variant = BcVariant::kOutOfCore;
-    options.storage_path =
-        args.store_path.empty() ? args.positional[0] + ".bd" : args.store_path;
-  } else if (args.variant != "mo") {
-    std::fprintf(stderr, "unknown variant %s (mo|mp|do)\n",
-                 args.variant.c_str());
-    return 1;
-  }
-  options.num_threads = args.threads;
-  options.prefilter = args.prefilter;
-  options.msbfs = args.msbfs;
-  options.do_switch_threshold = args.do_switch_threshold;
-  options.approx_samples = args.approx_samples;
-  options.approx_epsilon = args.epsilon;
-  options.approx_seed = args.seed;
-  if (!ApplyStorageFlags(args, &options)) return 1;
+  const DynamicBcOptions options =
+      BuildBcOptions(args, args.positional[0] + ".bd");
   WallTimer init_timer;
   auto bc = DynamicBc::Create(std::move(*graph), options);
   if (!bc.ok()) {
@@ -689,36 +729,10 @@ int CmdServe(const CliArgs& args) {
   if (!BuildServeStream(args, *graph, &stream)) return 1;
 
   BcServiceOptions options;
-  options.queue.capacity = args.queue_cap;
-  options.queue.max_batch = args.batch;
-  options.queue.batch_latency_budget_seconds = args.budget_ms / 1e3;
-  options.queue.coalesce = args.coalesce;
+  options.queue = BuildQueueOptions(args);
   options.top_k = args.top;
-  options.bc.num_threads = args.threads;
-  options.bc.prefilter = args.prefilter;
-  options.bc.msbfs = args.msbfs;
-  options.bc.do_switch_threshold = args.do_switch_threshold;
-  options.bc.approx_samples = args.approx_samples;
-  options.bc.approx_epsilon = args.epsilon;
-  options.bc.approx_seed = args.seed;
-  options.durability.wal_dir = args.wal_dir;
-  options.durability.checkpoint_dir = args.checkpoint_dir;
-  options.durability.wal_fsync_every = args.fsync_every;
-  options.durability.checkpoint_every_updates = args.checkpoint_every;
-  options.durability.checkpoint_interval_seconds = args.checkpoint_interval;
-  options.durability.kill_after_appends = args.kill_after;
-  if (args.variant == "mp") {
-    options.bc.variant = BcVariant::kMemoryPredecessors;
-  } else if (args.variant == "do") {
-    options.bc.variant = BcVariant::kOutOfCore;
-    options.bc.storage_path =
-        args.store_path.empty() ? args.positional[0] + ".bd" : args.store_path;
-  } else if (args.variant != "mo") {
-    std::fprintf(stderr, "unknown variant %s (mo|mp|do)\n",
-                 args.variant.c_str());
-    return 1;
-  }
-  if (!ApplyStorageFlags(args, &options.bc)) return 1;
+  options.bc = BuildBcOptions(args, args.positional[0] + ".bd");
+  options.durability = BuildDurabilityOptions(args);
   WallTimer init_timer;
   auto service = BcService::Create(std::move(*graph), options);
   if (!service.ok()) {
@@ -889,30 +903,17 @@ int CmdRecover(const CliArgs& args) {
     return 2;
   }
   BcServiceOptions options;
-  options.queue.capacity = args.queue_cap;
-  options.queue.max_batch = args.batch;
-  options.queue.batch_latency_budget_seconds = args.budget_ms / 1e3;
-  options.queue.coalesce = args.coalesce;
+  options.queue = BuildQueueOptions(args);
   options.top_k = args.top;
-  options.bc.num_threads = args.threads;
-  options.bc.prefilter = args.prefilter;
-  options.bc.msbfs = args.msbfs;
-  options.bc.do_switch_threshold = args.do_switch_threshold;
-  // --approx on recover asserts the deployment being recovered was a
-  // sampled one (BcService::Recover fails if the checkpoint disagrees);
-  // the sample set itself always comes from the checkpoint blob.
-  options.bc.approx_samples = args.approx_samples;
-  options.bc.approx_epsilon = args.epsilon;
-  options.bc.approx_seed = args.seed;
+  // The variant comes from the checkpoint manifest. --approx on recover
+  // asserts the deployment being recovered was a sampled one
+  // (BcService::Recover fails if the checkpoint disagrees); the sample set
+  // itself always comes from the checkpoint blob.
+  options.bc = BuildBcOptions(args, "");
   // For the out-of-core variant this is where the checkpointed store is
   // installed as the live file (default: <checkpoint-dir>/live.bd).
   options.bc.storage_path = args.store_path;
-  if (!ApplyStorageFlags(args, &options.bc)) return 1;
-  options.durability.wal_dir = args.wal_dir;
-  options.durability.checkpoint_dir = args.checkpoint_dir;
-  options.durability.wal_fsync_every = args.fsync_every;
-  options.durability.checkpoint_every_updates = args.checkpoint_every;
-  options.durability.checkpoint_interval_seconds = args.checkpoint_interval;
+  options.durability = BuildDurabilityOptions(args);
 
   RecoveryInfo info;
   auto service = BcService::Recover(options, &info);
@@ -996,42 +997,8 @@ int CmdRecover(const CliArgs& args) {
   return 0;
 }
 
-/// The BcServiceOptions a shard worker runs with, from the same flags
-/// `serve` uses (variant, storage engine, durability, threading).
-bool BuildShardServiceOptions(const CliArgs& args, BcServiceOptions* options,
-                              const std::string& default_store) {
-  options->top_k = args.top;
-  options->bc.num_threads = args.threads;
-  options->bc.prefilter = args.prefilter;
-  options->bc.msbfs = args.msbfs;
-  options->bc.do_switch_threshold = args.do_switch_threshold;
-  if (args.variant == "mp") {
-    options->bc.variant = BcVariant::kMemoryPredecessors;
-  } else if (args.variant == "do") {
-    options->bc.variant = BcVariant::kOutOfCore;
-    options->bc.storage_path =
-        args.store_path.empty() ? default_store : args.store_path;
-  } else if (args.variant != "mo") {
-    std::fprintf(stderr, "unknown variant %s (mo|mp|do)\n",
-                 args.variant.c_str());
-    return false;
-  }
-  if (args.recover_mode) {
-    // Recover takes the variant from the manifest; --store names where
-    // the checkpointed BD file is installed (empty = default).
-    options->bc.storage_path = args.store_path;
-  }
-  if (!ApplyStorageFlags(args, &options->bc)) return false;
-  options->durability.wal_dir = args.wal_dir;
-  options->durability.checkpoint_dir = args.checkpoint_dir;
-  options->durability.wal_fsync_every = args.fsync_every;
-  options->durability.checkpoint_every_updates = args.checkpoint_every;
-  options->durability.checkpoint_interval_seconds = args.checkpoint_interval;
-  options->durability.kill_after_appends = args.kill_after;
-  return true;
-}
-
 int CmdShard(const CliArgs& args) {
+  if (!RejectApproxInCluster(args, "shard")) return 2;
   if (args.await_migration) {
     if (args.listen.empty()) {
       std::fprintf(stderr,
@@ -1064,9 +1031,14 @@ int CmdShard(const CliArgs& args) {
                  ? "shard" + std::to_string(args.shard_index) + ".bd"
                  : args.positional[0] + ".shard" +
                        std::to_string(args.shard_index) + ".bd");
-  if (!BuildShardServiceOptions(args, &options.service, default_store)) {
-    return 2;
+  options.service.top_k = args.top;
+  options.service.bc = BuildBcOptions(args, default_store);
+  if (args.recover_mode) {
+    // Recover takes the variant from the manifest; --store names where
+    // the checkpointed BD file is installed (empty = default).
+    options.service.bc.storage_path = args.store_path;
   }
+  options.service.durability = BuildDurabilityOptions(args);
   static TcpTransport transport;
   Result<std::unique_ptr<ShardWorker>> worker =
       Status::InvalidArgument("unreachable");
@@ -1272,6 +1244,7 @@ int CmdClusterStandby(const CliArgs& args,
 }
 
 int CmdCluster(const CliArgs& args) {
+  if (!RejectApproxInCluster(args, "cluster")) return 2;
   if (args.shards_spec.empty()) {
     std::fprintf(stderr, "cluster requires --shards=HOST:PORT,HOST:PORT,...\n");
     return 2;
@@ -1298,10 +1271,7 @@ int CmdCluster(const CliArgs& args) {
   if (!BuildServeStream(args, *graph, &stream)) return 1;
 
   ClusterCoordinatorOptions options;
-  options.queue.capacity = args.queue_cap;
-  options.queue.max_batch = args.batch;
-  options.queue.batch_latency_budget_seconds = args.budget_ms / 1e3;
-  options.queue.coalesce = args.coalesce;
+  options.queue = BuildQueueOptions(args);
   options.top_k = args.top;
   options.shard_retry_seconds = args.retry_seconds;
   options.standby_listen = args.standby_listen;
